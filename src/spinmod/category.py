@@ -507,18 +507,12 @@ class KirbyColor:
     """A weight function on labels used to color surgery components.
 
     kinds: ``plain`` (all labels, weight qdim), ``graded`` (labels of one
-    degree), ``dual`` (character-twisted weights e_d^(v deg) qdim).  The
-    ``tag`` disambiguates colors built from different gradings or root
-    conventions in evaluation caches.
+    degree), ``dual`` (character-twisted weights e_d^(v deg) qdim).
     """
 
     kind: str
     parameter: int
     weights: tuple[CycloNumber, ...]
-    tag: tuple = ()
-
-    def cache_key(self) -> tuple:
-        return (self.kind, self.parameter, self.tag)
 
 
 def kirby_color(cat: CategoryData, kind: str, parameter: int = 0,
@@ -530,17 +524,16 @@ def kirby_color(cat: CategoryData, kind: str, parameter: int = 0,
     d = grad.modulus
     if not 0 <= parameter < d:
         raise ValueError(f"parameter {parameter} out of range [0,{d})")
-    tag = (d, grad.generator, grad.e_d.num, grad.e_d.den)
     if kind == "graded":
         zero = cat.field.zero
         weights = tuple(cat.qdim[lam] if grad.degree[lam] == parameter else zero
                         for lam in range(cat.size))
-        return KirbyColor("graded", parameter, weights, tag)
+        return KirbyColor("graded", parameter, weights)
     if kind == "dual":
         e_pows = [cat.field.one]
         for _ in range(d - 1):
             e_pows.append(e_pows[-1] * grad.e_d)
         weights = tuple(e_pows[(parameter * grad.degree[lam]) % d] * cat.qdim[lam]
                         for lam in range(cat.size))
-        return KirbyColor("dual", parameter, weights, tag)
+        return KirbyColor("dual", parameter, weights)
     raise ValueError(f"unknown Kirby color kind {kind!r}")

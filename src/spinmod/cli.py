@@ -217,20 +217,16 @@ def _run_invariant(spec: JobSpec) -> int:
 
 
 def _run_verify(spec: JobSpec) -> int:
-    kwargs = {}
-    if spec.suite in ("sum", "kirby", "oracle", "bijection", "decomposition",
-                      "spinc"):
-        kwargs["seed"] = spec.seed
-    if spec.suite in ("sum", "decomposition"):
-        kwargs["size"] = spec.corpus_size
-    if spec.suite == "kirby":
-        kwargs["sequences"] = spec.sequences
-    if spec.suite in ("sum", "kirby") and spec.category_source:
-        kwargs["category"] = load_category(spec.category_source)
+    if spec.corpus_size < 1 or spec.sequences < 1:
+        raise InputError("--corpus-size and --sequences must be positive")
     try:
         if spec.suite == "all":
             reports = verify.run_all(seed=spec.seed)
         else:
+            kwargs = {"seed": spec.seed, "size": spec.corpus_size,
+                      "sequences": spec.sequences}
+            if spec.category_source:
+                kwargs["category"] = load_category(spec.category_source)
             reports = [verify.run_suite(spec.suite, **kwargs)]
     except ValueError as exc:
         raise InputError(str(exc)) from exc

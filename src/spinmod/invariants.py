@@ -24,9 +24,9 @@ from fractions import Fraction
 from itertools import product
 
 from . import structures
-from .category import (CategoryData, Grading, KirbyColor, RefinableStructure,
-                       default_primitive_root, grading, invertibles,
-                       kirby_color, refinable_structures)
+from .category import (CategoryData, Grading, GradingError, KirbyColor,
+                       RefinableStructure, default_primitive_root, grading,
+                       invertibles, kirby_color, refinable_structures)
 from .constructions import reduced_subcategory
 from .cyclo import CycloNumber, gauss_sum
 from .surgery import PlumbingForest, SignaturePair, signature
@@ -94,13 +94,15 @@ class RefinedInvariantTable:
                             for v in self.entries.values()))
 
 
-def _weight_vec(cat: CategoryData, w) -> tuple[tuple[CycloNumber, ...], tuple | None]:
-    if hasattr(w, "weights") and hasattr(w, "cache_key"):
-        return w.weights, w.cache_key()
-    vec = tuple(w)
+def _weight_vec(cat: CategoryData, w) -> tuple[CycloNumber, ...]:
+    vec = w.weights if isinstance(w, KirbyColor) else tuple(w)
     if len(vec) != cat.size:
         raise InvariantError("weight vector length mismatch")
-    return vec, None
+    return vec
+
+
+def _support(vec) -> list[int]:
+    return [lam for lam, w in enumerate(vec) if not w.is_zero()]
 
 
 def delta_weight(cat: CategoryData, label: int) -> KirbyColor:
@@ -110,29 +112,31 @@ def delta_weight(cat: CategoryData, label: int) -> KirbyColor:
     return KirbyColor("delta", label, weights)
 
 
+def _check_modulus(d: int) -> None:
+    if d < 1:
+        raise RefinementError("modulus d must be positive")
+
+
 class Evaluator:
     """Caches per-category data (twist powers, inverse dimensions, leaf
-    messages, Kirby colors, gradings) across many forest evaluations.
+    messages, unknot values, gradings) across many forest evaluations.
 
     All evaluation methods are pure functions of (category, forest,
-    weights); the caches are semantics-free memoization.
+    weights); every cache is keyed by the weight vector itself, never by a
+    caller-supplied name, so memoization cannot change a result.
     """
 
     def __init__(self, cat: CategoryData):
         self.cat = cat
-        self._theta_inv: list[CycloNumber | None] = [None] * cat.size
         self._theta_pow: dict[tuple[int, int], CycloNumber] = {}
-        self._qdim_inv: list[CycloNumber | None] = [None] * cat.size
         self._qdim_inv_pow: dict[tuple[int, int], CycloNumber] = {}
         self._leaf_cache: dict[tuple, tuple[CycloNumber, ...]] = {}
         self._unknot_cache: dict[tuple, CycloNumber] = {}
-        self._denoms: dict[int, CycloNumber] = {}
         self._denom_inv: dict[int, CycloNumber] = {}
         self._group = None
         self._refinables: list[RefinableStructure] | None = None
-        self._gradings: dict[tuple[int, int], Grading] = {}
-        self._colors: dict[tuple, KirbyColor] = {}
-        self._supports: dict[tuple | int, tuple[int, ...]] = {}
+        self._gradings: dict[tuple[int, int, bool | None], Grading] = {}
+        self._plain = kirby_color(cat, "plain")
 
     # -- cached atoms --------------------------------------------------------
 
@@ -142,24 +146,15 @@ class Evaluator:
         if val is None:
             if m >= 0:
                 val = self.cat.twist[lam] ** m
+            elif m == -1:
+                val = self.cat.twist[lam].invert()
             else:
-                inv = self._theta_inv[lam]
-                if inv is None:
-                    inv = self.cat.twist[lam].invert()
-                    self._theta_inv[lam] = inv
-                val = inv ** (-m)
+                val = self.theta_power(lam, -1) ** (-m)
             self._theta_pow[key] = val
         return val
 
     def qdim_inv(self, lam: int) -> CycloNumber:
-        val = self._qdim_inv[lam]
-        if val is None:
-            if self.cat.qdim[lam].is_zero():
-                raise ZeroDimensionError(
-                    f"label {lam} has zero quantum dimension on an internal vertex")
-            val = self.cat.qdim[lam].invert()
-            self._qdim_inv[lam] = val
-        return val
+        return self._qdim_inv_power(lam, 1)
 
     def _qdim_inv_power(self, lam: int, k: int) -> CycloNumber:
         if k == 0:
@@ -167,7 +162,13 @@ class Evaluator:
         key = (lam, k)
         val = self._qdim_inv_pow.get(key)
         if val is None:
-            val = self.qdim_inv(lam) ** k
+            if k > 1:
+                val = self.qdim_inv(lam) ** k
+            elif self.cat.qdim[lam].is_zero():
+                raise ZeroDimensionError(
+                    f"label {lam} has zero quantum dimension on an internal vertex")
+            else:
+                val = self.cat.qdim[lam].invert()
             self._qdim_inv_pow[key] = val
         return val
 
@@ -176,33 +177,21 @@ class Evaluator:
             return self.cat.smat[lam]
         return self.cat.smat[self.cat.dual[lam]]
 
-    def _support(self, vec, key) -> tuple[int, ...]:
-        if key is not None:
-            sup = self._supports.get(key)
-            if sup is not None:
-                return sup
-        sup = tuple(lam for lam, w in enumerate(vec) if not w.is_zero())
-        if key is not None:
-            self._supports[key] = sup
-        return sup
-
     # -- plain evaluation ----------------------------------------------------
 
     def unknot_value(self, framing: int, weight) -> CycloNumber:
         """Invariant of one framed unknot with a weighted color."""
-        vec, key = _weight_vec(self.cat, weight)
-        return self._unknot_pair(framing, vec, key)
+        return self._unknot(framing, _weight_vec(self.cat, weight))
 
-    def _unknot_pair(self, framing: int, vec, key) -> CycloNumber:
-        ck = None if key is None else (key, framing)
-        if ck is not None and ck in self._unknot_cache:
-            return self._unknot_cache[ck]
-        total = self.cat.field.zero
-        for lam in self._support(vec, key):
-            total = total + vec[lam] * self.theta_power(lam, framing) \
-                * self.cat.qdim[lam]
-        if ck is not None:
-            self._unknot_cache[ck] = total
+    def _unknot(self, framing: int, vec) -> CycloNumber:
+        key = (vec, framing)
+        total = self._unknot_cache.get(key)
+        if total is None:
+            total = self.cat.field.zero
+            for lam in _support(vec):
+                total = total + vec[lam] * self.theta_power(lam, framing) \
+                    * self.cat.qdim[lam]
+            self._unknot_cache[key] = total
         return total
 
     def eval_colored(self, forest: PlumbingForest, colors,
@@ -236,20 +225,19 @@ class Evaluator:
     def eval_weighted(self, forest: PlumbingForest, weights) -> CycloNumber:
         """Sum over all colorings of the per-vertex weights times the colored
         invariant, by message passing up each tree."""
-        pairs = [_weight_vec(self.cat, w) for w in weights]
-        if len(pairs) != forest.n:
+        vecs = [_weight_vec(self.cat, w) for w in weights]
+        if len(vecs) != forest.n:
             raise InvariantError("one weight per vertex required")
         adj = forest.neighbors()
         total = self.cat.field.one
         for comp in forest.components():
-            total = total * self._tree_sum(forest, adj, comp, pairs)
+            total = total * self._tree_sum(forest, adj, comp, vecs)
         return total
 
-    def _tree_sum(self, forest, adj, comp, pairs) -> CycloNumber:
+    def _tree_sum(self, forest, adj, comp, vecs) -> CycloNumber:
         root = comp[0]
         if len(comp) == 1:
-            vec, key = pairs[root]
-            return self._unknot_pair(forest.framings[root], vec, key)
+            return self._unknot(forest.framings[root], vecs[root])
         n = self.cat.size
         parent = {root: -1}
         edge_sign = {}
@@ -270,16 +258,16 @@ class Evaluator:
         msg: dict[int, list[CycloNumber]] = {}
         zero = self.cat.field.zero
         for v in reversed(order):
-            vec, key = pairs[v]
+            vec = vecs[v]
             kids = children[v]
-            if not kids and key is not None:
-                ck = (key, forest.framings[v], edge_sign[v])
-                cached = self._leaf_cache.get(ck)
+            if not kids:
+                leaf_key = (vec, forest.framings[v], edge_sign[v])
+                cached = self._leaf_cache.get(leaf_key)
                 if cached is not None:
                     msg[v] = cached
                     continue
             fvec: list[CycloNumber | None] = [None] * n
-            for lam in self._support(vec, key):
+            for lam in _support(vec):
                 f = vec[lam] * self.theta_power(lam, forest.framings[v])
                 if kids:
                     f = f * self._qdim_inv_power(lam, len(kids))
@@ -306,13 +294,13 @@ class Evaluator:
                         out[lp] = out[lp] + f * s
             out_t = tuple(out)
             msg[v] = out_t
-            if not kids and key is not None:
-                self._leaf_cache[(key, forest.framings[v], edge_sign[v])] = out_t
+            if not kids:
+                self._leaf_cache[leaf_key] = out_t
         raise AssertionError("unreachable")
 
     def brute_weighted(self, forest: PlumbingForest, weights) -> CycloNumber:
         """Oracle: direct sum over all colorings, no message passing."""
-        pairs = [_weight_vec(self.cat, w) for w in weights]
+        vecs = [_weight_vec(self.cat, w) for w in weights]
         n = forest.n
         size = self.cat.size
         if size ** n > 1 << 22:
@@ -324,7 +312,7 @@ class Evaluator:
             ok = True
             for v in range(n):
                 lam = coloring[v]
-                w = pairs[v][0][lam]
+                w = vecs[v][lam]
                 if w.is_zero():
                     ok = False
                     break
@@ -344,18 +332,10 @@ class Evaluator:
     # -- normalization -------------------------------------------------------
 
     def plain_color(self) -> KirbyColor:
-        col = self._colors.get(("plain",))
-        if col is None:
-            col = kirby_color(self.cat, "plain")
-            self._colors[("plain",)] = col
-        return col
+        return self._plain
 
     def denominator(self, sign: int) -> CycloNumber:
-        val = self._denoms.get(sign)
-        if val is None:
-            val = self.unknot_value(sign, self.plain_color())
-            self._denoms[sign] = val
-        return val
+        return self._unknot(sign, self._plain.weights)
 
     def _denominator_inv(self, sign: int) -> CycloNumber:
         val = self._denom_inv.get(sign)
@@ -406,76 +386,91 @@ class Evaluator:
         grad = self._gradings.get(key)
         if grad is None:
             s = self.find_structure(order, spin)
-            e_d = default_primitive_root(self.cat.field, order, e_k)
+            try:
+                e_d = default_primitive_root(self.cat.field, order, e_k)
+            except GradingError as exc:
+                raise RefinementError(str(exc)) from exc
             grad = grading(self.cat, self.group(), s.generator, e_d)
             self._gradings[key] = grad
         return grad
 
     def graded_color(self, grad: Grading, u: int, e_k: int) -> KirbyColor:
-        key = ("graded", grad.modulus, grad.generator, e_k, u)
-        col = self._colors.get(key)
-        if col is None:
-            col = kirby_color(self.cat, "graded", u % grad.modulus, grad)
-            self._colors[key] = col
-        return col
+        """Graded color of degree u.  ``e_k`` is not consulted: the root
+        convention travels with ``grad.e_d``."""
+        return kirby_color(self.cat, "graded", u % grad.modulus, grad)
 
     def dual_color(self, grad: Grading, v: int, e_k: int) -> KirbyColor:
-        key = ("dual", grad.modulus, grad.generator, e_k, v)
-        col = self._colors.get(key)
-        if col is None:
-            col = kirby_color(self.cat, "dual", v % grad.modulus, grad)
-            self._colors[key] = col
-        return col
+        """Dual color with character parameter v under ``grad.e_d``."""
+        return kirby_color(self.cat, "dual", v % grad.modulus, grad)
 
     # -- invariants ------------------------------------------------------------
 
     def wrt(self, forest: PlumbingForest) -> InvariantValue:
         sig = signature(forest.linking_matrix())
-        raw = self.eval_weighted(forest, [self.plain_color()] * forest.n)
+        raw = self.eval_weighted(forest, [self._plain] * forest.n)
         return self.normalize(raw, sig)
 
     def wrt_spin(self, forest: PlumbingForest, d: int,
                  e_k: int = 1) -> RefinedInvariantTable:
-        grad = self.structure_grading(d, spin=True, e_k=e_k)
-        mat = forest.linking_matrix()
-        sig = signature(mat)
-        sols = structures.spin_solutions(mat, d)
-        entries = {}
-        for s in sols.solutions:
-            weights = [self.graded_color(grad, u, e_k) for u in s]
-            raw = self.eval_weighted(forest, weights)
-            entries[s] = self.normalize(raw, sig)
-        return RefinedInvariantTable("spin", d, entries)
+        return self._graded_table("spin", forest, d, e_k)
 
     def wrt_cohomology(self, forest: PlumbingForest, d: int,
                        e_k: int = 1) -> RefinedInvariantTable:
-        grad = self.structure_grading(d, spin=False, e_k=e_k)
-        mat = forest.linking_matrix()
-        sig = signature(mat)
-        classes = structures.cohomology_classes(mat, d)
-        entries = {}
-        for h in classes.solutions:
-            weights = [self.graded_color(grad, u, e_k) for u in h]
-            raw = self.eval_weighted(forest, weights)
-            entries[h] = self.normalize(raw, sig)
-        return RefinedInvariantTable("coh", d, entries)
+        return self._graded_table("coh", forest, d, e_k)
 
     def wrt_homology(self, forest: PlumbingForest, d: int,
                      e_k: int = 1) -> RefinedInvariantTable:
-        grad = self.structure_grading(d, spin=False, e_k=e_k)
+        return self._coset_table("hom", forest, d, e_k)
+
+    def wrt_spinc(self, forest: PlumbingForest, d: int, e_k: int = 1,
+                  override: bool = False) -> RefinedInvariantTable:
+        """Chern-vector refinement: needs a 2d-spin structure, d even
+        (override releases the parity hypothesis for exploration only)."""
+        return self._coset_table("spinc", forest, d, e_k, override)
+
+    def _graded_table(self, kind: str, forest: PlumbingForest, d: int,
+                      e_k: int) -> RefinedInvariantTable:
+        """One graded-color evaluation per solution of L s = rhs mod d:
+        characteristic solutions (spin) or the kernel (coh)."""
+        _check_modulus(d)
+        spin = kind == "spin"
+        grad = self.structure_grading(d, spin=spin, e_k=e_k)
         mat = forest.linking_matrix()
         sig = signature(mat)
-        classes = structures.homology_classes(mat, d)
-        scale = Fraction(1, d ** forest.n)
+        solve = (structures.spin_solutions if spin
+                 else structures.cohomology_classes)
+        colors = [self.graded_color(grad, u, e_k) for u in range(d)]
         entries = {}
-        for rep in classes.classes:
+        for s in solve(mat, d).solutions:
+            raw = self.eval_weighted(forest, [colors[u] for u in s])
+            entries[s] = self.normalize(raw, sig)
+        return RefinedInvariantTable(kind, d, entries)
+
+    def _coset_table(self, kind: str, forest: PlumbingForest, d: int,
+                     e_k: int, override: bool = False) -> RefinedInvariantTable:
+        """Dual-color sums over cosets of Im L in (Z_d)^n (hom), or of
+        2 Im L in the Chern-vector slice of (Z_2d)^n (spinc)."""
+        _check_modulus(d)
+        spinc = kind == "spinc"
+        if spinc and d % 2 and not override:
+            raise RefinementError(
+                "d must be even (pass override=True to explore odd d)")
+        mod = 2 * d if spinc else d
+        grad = self.structure_grading(mod, spin=spinc, e_k=e_k)
+        mat = forest.linking_matrix()
+        sig = signature(mat)
+        cosets = (structures.chern_vectors if spinc
+                  else structures.homology_classes)(mat, d)
+        scale = Fraction((-1) ** forest.n if spinc else 1, d ** forest.n)
+        colors = [self.dual_color(grad, v, e_k) for v in range(mod)]
+        entries = {}
+        for rep in cosets.classes:
             acc = self.cat.field.zero
-            for shift in classes.subgroup:
-                eps = tuple((a + b) % d for a, b in zip(rep, shift))
-                weights = [self.dual_color(grad, v, e_k) for v in eps]
+            for shift in cosets.subgroup:
+                weights = [colors[(a + b) % mod] for a, b in zip(rep, shift)]
                 acc = acc + self.eval_weighted(forest, weights)
             entries[rep] = self.normalize(acc.scale(scale), sig)
-        return RefinedInvariantTable("hom", d, entries)
+        return RefinedInvariantTable(kind, d, entries)
 
     def wrt_generalized_spin(self, forest: PlumbingForest,
                              generators: list[int],
@@ -509,60 +504,22 @@ class Evaluator:
             sets = (structures.spin_solutions(mat, order).solutions if spin
                     else structures.cohomology_classes(mat, order).solutions)
             factors.append((grad, order, spin, sets))
-        joint_cache: dict[tuple, KirbyColor] = {}
+        zero = self.cat.field.zero
 
-        def joint_color(residues: tuple[int, ...]) -> KirbyColor:
-            col = joint_cache.get(residues)
-            if col is None:
-                zero = self.cat.field.zero
-                weights = tuple(
-                    self.cat.qdim[lam]
-                    if all(f[0].degree[lam] == r
-                           for f, r in zip(factors, residues)) else zero
-                    for lam in range(self.cat.size))
-                key = ("kv", residues,
-                       tuple((f[0].modulus, f[0].generator) for f in factors),
-                       e_k)
-                col = KirbyColor("kv", 0, weights, key)
-                joint_cache[residues] = col
-            return col
+        def joint_weights(residues: tuple[int, ...]) -> tuple[CycloNumber, ...]:
+            return tuple(self.cat.qdim[lam]
+                         if all(f[0].degree[lam] == r
+                                for f, r in zip(factors, residues)) else zero
+                         for lam in range(self.cat.size))
 
         entries = {}
         for combo in product(*[f[3] for f in factors]):
-            weights = [joint_color(tuple(vec[v] for vec in combo))
+            weights = [joint_weights(tuple(vec[v] for vec in combo))
                        for v in range(forest.n)]
             raw = self.eval_weighted(forest, weights)
             key = tuple(x for vec in combo for x in vec)
             entries[key] = self.normalize(raw, sig)
         return RefinedInvariantTable("kv", 0, entries)
-
-    def wrt_spinc(self, forest: PlumbingForest, d: int, e_k: int = 1,
-                  override: bool = False,
-                  factored: bool | None = None) -> RefinedInvariantTable:
-        """Chern-vector refinement: needs a 2d-spin structure, d even
-        (override releases the parity hypothesis for exploration only)."""
-        if d % 2 and not override:
-            raise RefinementError(
-                "d must be even (pass override=True to explore odd d)")
-        grad = self.structure_grading(2 * d, spin=True, e_k=e_k)
-        mat = forest.linking_matrix()
-        sig = signature(mat)
-        chern = structures.chern_vectors(mat, d)
-        two_d = 2 * d
-        scale = Fraction((-1) ** forest.n, d ** forest.n)
-        if factored is None:
-            factored = len(chern.subgroup) > 512
-        subgroup = (structures.image_subgroup_factored(mat, two_d, scale=2)
-                    if factored else chern.subgroup)
-        entries = {}
-        for rep in chern.classes:
-            acc = self.cat.field.zero
-            for shift in subgroup:
-                eps = tuple((a + b) % two_d for a, b in zip(rep, shift))
-                weights = [self.dual_color(grad, v, e_k) for v in eps]
-                acc = acc + self.eval_weighted(forest, weights)
-            entries[rep] = self.normalize(acc.scale(scale), sig)
-        return RefinedInvariantTable("spinc", d, entries)
 
 
 # ---------------------------------------------------------------------------

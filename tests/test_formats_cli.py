@@ -2,7 +2,7 @@
 
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
@@ -150,6 +150,43 @@ def test_cli_exit_codes(tmp_path):
     rc, _ = run_cli("invariant", "--category", "builtin:sl2:8",
                     "--manifold", str(missing))
     assert rc == 2
+
+
+def run_cli_err(*argv):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        rc, _ = run_cli(*argv)
+    return rc, err.getvalue().strip().splitlines()
+
+
+def test_cli_refine_rejects_non_positive_modulus(tmp_path):
+    forest_file = tmp_path / "m.forest"
+    forest_file.write_text("vertex 0 framing 1\n")
+    for refine in ("spin", "coh", "hom", "spinc"):
+        for d in ("0", "-2"):
+            rc, err = run_cli_err("invariant", "--category", "builtin:sl2:8",
+                                  "--manifold", str(forest_file),
+                                  "--refine", refine, "--d", d)
+            assert rc == 2
+            assert err == ["error: modulus d must be positive"]
+
+
+def test_cli_non_primitive_root_convention_is_bad_input(tmp_path):
+    forest_file = tmp_path / "m.forest"
+    forest_file.write_text("vertex 0 framing 1\n")
+    rc, err = run_cli_err("invariant", "--category", "builtin:sl2:8",
+                          "--manifold", str(forest_file), "--e_d", "2",
+                          "--refine", "spin", "--d", "2")
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_cli_verify_rejects_non_positive_counts():
+    for argv in (("sum", "--corpus-size", "-3"), ("sum", "--corpus-size", "0"),
+                 ("kirby", "--sequences", "0"), ("all", "--sequences", "-1")):
+        rc, err = run_cli_err("verify", *argv)
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_cli_verify_reports_are_seed_deterministic():

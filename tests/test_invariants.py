@@ -209,13 +209,6 @@ def test_wrt_spinc_requires_even_d(ev8):
         ev8.wrt_spinc(forest([1]), 2)  # sl2(8) is not 4-spin
 
 
-def test_spinc_factored_equals_full_coset(ev8):
-    f = chain([2, 0])
-    full = ev8.wrt_spinc(f, 1, override=True, factored=False)
-    fact = ev8.wrt_spinc(f, 1, override=True, factored=True)
-    assert full.entries == fact.entries
-
-
 def test_moo_examples():
     xi = make_root(4, 1)
     assert moo(as_matrix([[1]]), 2, xi).exact.is_one()
@@ -358,6 +351,33 @@ def test_leaf_cache_distinguishes_root_conventions():
     got2 = shared.eval_weighted(f, [col2, col2])
     assert got1 == Evaluator(cat).eval_weighted(f, [col1, col1])
     assert got2 == Evaluator(cat).eval_weighted(f, [col2, col2])
+
+
+def test_evaluator_caches_follow_weight_content():
+    # a color with the plain kind but other weights must not be served
+    # the plain color's cached leaf messages or unknot values
+    from spinmod.category import KirbyColor
+    cat = sl2_category(5)
+    ev = Evaluator(cat)
+    plain = kirby_color(cat, "plain")
+    double = KirbyColor("plain", 0, tuple(q * 2 for q in cat.qdim))
+    for f, factor in ((forest([1]), 2), (e8_forest(), 2 ** 8)):
+        base = ev.eval_weighted(f, [plain] * f.n)
+        assert ev.eval_weighted(f, [double] * f.n) == base * factor
+
+
+def test_graded_and_dual_colors_follow_the_grading_root():
+    from spinmod.category import grading, invertibles
+    cat = abelian_category(5, make_root(5, 1))
+    group = invertibles(cat)
+    ev = Evaluator(cat)
+    for k in (1, 2):
+        grad = grading(cat, group, e_d=cat.field.zeta(k))
+        for p in range(grad.modulus):
+            assert ev.graded_color(grad, p, 1) \
+                == kirby_color(cat, "graded", p, grad)
+            assert ev.dual_color(grad, p, 1) \
+                == kirby_color(cat, "dual", p, grad)
 
 
 def test_zero_quantum_dimension_error():

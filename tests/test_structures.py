@@ -126,6 +126,8 @@ def test_solvers_match_brute_force_and_counts():
             == brute_homology_classes(mat, d)
         assert chern_vectors(mat, d).count == coker_count(mat, d)
         assert image_subgroup(mat, d) == image_subgroup_factored(mat, d)
+        assert image_subgroup(mat, 2 * d, scale=2) \
+            == image_subgroup_factored(mat, 2 * d, scale=2)
 
 
 def test_even_diagonal_spin_set_is_kernel_translate():
