@@ -90,7 +90,7 @@ class CycloField:
 
     __slots__ = (
         "order", "degree", "phi_coeffs", "_red", "_zeta_cache",
-        "_conj_rows", "_complex_powers", "zero", "one",
+        "_complex_powers", "zero", "one",
     )
 
     def __init__(self, order: int):
@@ -117,11 +117,6 @@ class CycloField:
             rows.append(cur)
         self._red = tuple(rows)
         self._zeta_cache: dict[int, CycloNumber] = {}
-        conj_rows = []
-        for j in range(d):
-            k = (-j) % order
-            conj_rows.append(self._monomial(k))
-        self._conj_rows = tuple(conj_rows)
         z = cmath.exp(2j * cmath.pi / order)
         self._complex_powers = tuple(z ** j for j in range(d))
         self.zero = CycloNumber(self, (0,) * d, 1)
@@ -174,15 +169,17 @@ class CycloField:
         if self.order % src.order != 0:
             raise FieldMismatchError(
                 f"Q(zeta_{src.order}) does not embed in Q(zeta_{self.order})")
-        step = self.order // src.order
+        return self._substitute(value, self.order // src.order)
+
+    def _substitute(self, value: "CycloNumber", k: int) -> "CycloNumber":
+        """``value`` with its root zeta replaced by zeta_N^k, reduced."""
         acc = [0] * self.degree
         for j, c in enumerate(value.num):
             if c:
-                row = self._monomial(j * step)
-                for i in range(self.degree):
-                    if row[i]:
-                        acc[i] += c * row[i]
-        return CycloNumber(self, tuple(acc), value.den)
+                for i, r in enumerate(self._monomial(j * k)):
+                    if r:
+                        acc[i] += c * r
+        return CycloNumber(self, acc, value.den)
 
     def __repr__(self) -> str:
         return f"CycloField({self.order})"
@@ -352,40 +349,23 @@ class CycloNumber:
         return result
 
     def invert(self) -> "CycloNumber":
-        """Multiplicative inverse, via the multiplication-by-self linear system."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        sigma_k(x), k in (Z/N)^x, divided by the norm N(x), which is rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         field = self.field
-        d = field.degree
         if self.is_rational():
-            q = 1 / self.as_rational()
-            return field.from_rational(q)
-        # Columns of M are self * zeta^j (integer part only); solve M x = e0,
-        # then scale by den: inverse = den * x in the power basis.
-        cols = []
-        shifted = CycloNumber(field, self.num, 1, _normalize=False)
-        for _ in range(d):
-            cols.append(shifted.num)
-            shifted = shifted * field.zeta(1)
-        mat = [[Fraction(cols[j][i]) for j in range(d)] for i in range(d)]
-        rhs = [Fraction(1 if i == 0 else 0) for i in range(d)]
-        sol = _solve_linear(mat, rhs)
-        if sol is None:
-            raise ZeroDivisionError("number is a zero divisor (corrupt data)")
-        return field.from_coeffs([self.den * x for x in sol])
+            return field.from_rational(1 / self.as_rational())
+        n = field.order
+        others = field.one
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                others = others * field._substitute(self, k)
+        return others * (1 / (self * others).as_rational())
 
     def conj(self) -> "CycloNumber":
         """The automorphism zeta -> zeta^(N-1); complex conjugation on embedding."""
-        field = self.field
-        d = field.degree
-        acc = [0] * d
-        for j, c in enumerate(self.num):
-            if c:
-                row = field._conj_rows[j]
-                for i in range(d):
-                    if row[i]:
-                        acc[i] += c * row[i]
-        return CycloNumber(field, acc, self.den)
+        return self.field._substitute(self, -1)
 
     def scale(self, q: Fraction | int) -> "CycloNumber":
         q = Fraction(q)
@@ -429,28 +409,6 @@ class CycloNumber:
                 terms.append(f"{q}*z^{j}")
         body = " + ".join(terms) if terms else "0"
         return f"Cyclo({self.field.order}: {body})"
-
-
-def _solve_linear(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over Q; returns None for a singular system."""
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 def make_root(order: int, k: int) -> CycloNumber:

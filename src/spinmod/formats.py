@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .category import CategoryData, Label
+from .category import CategoryData, Label, MalformedCategoryError
 from .constructions import ConstructionError, abelian_category, sl2_category, \
     trivial_category
 from .cyclo import CycloNumber, cyclo_field, make_root
@@ -120,7 +120,9 @@ def category_from_text(text: str) -> CategoryData:
             elif key == "smat":
                 smat_entries[(int(parts[1]), int(parts[2]))] = number(parts[3:])
             elif key == "fusion":
-                fusion_entries.append(tuple(int(p) for p in parts[1:5]))
+                if len(parts) != 5:
+                    raise FormatError(f"fusion line needs 4 integers: {ln!r}")
+                fusion_entries.append(tuple(int(p) for p in parts[1:]))
             elif key == "end":
                 break
             else:
@@ -131,7 +133,15 @@ def category_from_text(text: str) -> CategoryData:
             raise FormatError(f"bad line {ln!r}") from exc
     if None in (name, field, size, dual):
         raise FormatError("missing name/field/labels/dual")
+    if size < 1:
+        raise FormatError("labels must be at least 1")
     n = size
+    indices = {*label_names, *qdim, *twist,
+               *(i for ij in smat_entries for i in ij),
+               *(i for entry in fusion_entries for i in entry[:3])}
+    bad = sorted(i for i in indices if not 0 <= i < n)
+    if bad:
+        raise FormatError(f"label indices {bad} outside 0..{n - 1}")
     missing = ([i for i in range(n) if i not in qdim]
                + [i for i in range(n) if i not in twist])
     if missing:
@@ -146,16 +156,19 @@ def category_from_text(text: str) -> CategoryData:
     fusion = [[[0] * n for _ in range(n)] for _ in range(n)]
     for (a, b, c, mult) in fusion_entries:
         fusion[a][b][c] = mult
-    return CategoryData(
-        name=name,
-        field=field,
-        labels=tuple(Label(i, label_names.get(i, str(i))) for i in range(n)),
-        dual=dual,
-        qdim=tuple(qdim[i] for i in range(n)),
-        twist=tuple(twist[i] for i in range(n)),
-        smat=smat,
-        fusion=fusion,
-    )
+    try:
+        return CategoryData(
+            name=name,
+            field=field,
+            labels=tuple(Label(i, label_names.get(i, str(i))) for i in range(n)),
+            dual=dual,
+            qdim=tuple(qdim[i] for i in range(n)),
+            twist=tuple(twist[i] for i in range(n)),
+            smat=smat,
+            fusion=fusion,
+        )
+    except MalformedCategoryError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def resolve_category(source: str) -> CategoryData:

@@ -35,7 +35,11 @@ class StructureError(ValueError):
 
 
 def as_matrix(rows) -> LinkingMatrix:
-    mat = tuple(tuple(int(v) for v in row) for row in rows)
+    if not all(isinstance(row, (list, tuple)) for row in rows):
+        raise StructureError("linking matrix rows must be lists")
+    mat = tuple(tuple(row) for row in rows)
+    if not all(type(v) is int for row in mat for v in row):   # not bool
+        raise StructureError("linking matrix entries must be integers")
     n = len(mat)
     for row in mat:
         if len(row) != n:
@@ -167,14 +171,8 @@ def solve_mod(mat, rhs, d: int) -> list[tuple[int, ...]]:
             return []
     sols = []
     for y in product(*per_coord):
-        sols.append(_mat_vec_mod_cols(v, y, d))
+        sols.append(_mat_vec_mod(v, y, d))
     return sorted(set(sols))
-
-
-def _mat_vec_mod_cols(mat, vec, mod: int) -> tuple[int, ...]:
-    n = len(vec)
-    return tuple(sum(mat[i][j] * vec[j] for j in range(n)) % mod
-                 for i in range(len(mat)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +180,9 @@ def _mat_vec_mod_cols(mat, vec, mod: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class SpinSolutionSet:
+class SolutionSet:
+    """Solutions of L x = rhs over Z_modulus (spin structures, H^1 classes)."""
+
     modulus: int
     solutions: tuple[tuple[int, ...], ...]
 
@@ -192,30 +192,11 @@ class SpinSolutionSet:
 
 
 @dataclass(frozen=True)
-class CohomologyClassSet:
-    modulus: int
-    solutions: tuple[tuple[int, ...], ...]
+class CosetSet:
+    """Coset representatives together with the subgroup they are taken
+    modulo: Im L in (Z_d)^n for homology, 2 Im L in (Z_2d)^n for Chern
+    vectors.  ``modulus`` is d in both cases."""
 
-    @property
-    def count(self) -> int:
-        return len(self.solutions)
-
-
-@dataclass(frozen=True)
-class ChernVectorSet:
-    """Coset representatives in (Z_2d)^n together with the subgroup 2 Im L."""
-
-    modulus: int
-    classes: tuple[tuple[int, ...], ...]
-    subgroup: tuple[tuple[int, ...], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.classes)
-
-
-@dataclass(frozen=True)
-class HomologyClassSet:
     modulus: int
     classes: tuple[tuple[int, ...], ...]
     subgroup: tuple[tuple[int, ...], ...]
@@ -229,20 +210,20 @@ def characteristic_rhs(mat: LinkingMatrix, d: int) -> tuple[int, ...]:
     return tuple((d // 2) * mat[i][i] % d for i in range(len(mat)))
 
 
-def spin_solutions(mat: LinkingMatrix, d: int) -> SpinSolutionSet:
+def spin_solutions(mat: LinkingMatrix, d: int) -> SolutionSet:
     """Solutions of L s = (d/2) diag(L) mod d; empty output is valid (the
     obstruction may not vanish for arbitrary matrices)."""
     if d < 2 or d % 2:
         raise StructureError("spin structures need an even modulus d >= 2")
     sols = solve_mod(mat, characteristic_rhs(mat, d), d)
-    return SpinSolutionSet(d, tuple(sols))
+    return SolutionSet(d, tuple(sols))
 
 
-def cohomology_classes(mat: LinkingMatrix, d: int) -> CohomologyClassSet:
+def cohomology_classes(mat: LinkingMatrix, d: int) -> SolutionSet:
     if d < 1:
         raise StructureError("modulus must be positive")
     sols = solve_mod(mat, (0,) * len(mat), d)
-    return CohomologyClassSet(d, tuple(sols))
+    return SolutionSet(d, tuple(sols))
 
 
 def _close_subgroup(gens: list[tuple[int, ...]], mod: int, n: int
@@ -275,19 +256,18 @@ def image_subgroup_factored(mat: LinkingMatrix, mod: int, scale: int = 1
                             ) -> tuple[tuple[int, ...], ...]:
     """The subgroup scale * Im(mat) of (Z_mod)^n, enumerated without
     deduplication by running over independent cyclic generators obtained
-    from the Smith normal form (scale*mat = U^-1 D V^-1, so the image is
-    spanned by the columns of U^-1 D with known independent orders)."""
+    from the Smith normal form: U (scale*mat) V = D gives
+    (scale*mat) V = U^-1 D, so column i of (scale*mat) V is a generator
+    of order mod / gcd(d_i, mod), independent of the others."""
     n = len(mat)
     scaled = [[scale * v for v in row] for row in mat]
-    u, dd, _ = smith_normal_form(scaled)
-    u_inv_cols = _integer_inverse(u)
+    _, dd, v = smith_normal_form(scaled)
     gens = []
     for i in range(n):
-        di = dd[i][i]
-        order = mod // math.gcd(di, mod)
+        order = mod // math.gcd(dd[i][i], mod)
         if order > 1:
-            gen = tuple(di * u_inv_cols[r][i] % mod for r in range(n))
-            gens.append((gen, order))
+            gens.append((_mat_vec_mod(scaled, [row[i] for row in v], mod),
+                         order))
     elements = []
     for exps in product(*[range(order) for (_, order) in gens]):
         vec = [0] * n
@@ -299,58 +279,14 @@ def image_subgroup_factored(mat: LinkingMatrix, mod: int, scale: int = 1
     return tuple(sorted(elements))
 
 
-def _integer_inverse(mat: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix, as integers."""
-    from fractions import Fraction
-    n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)]
-         + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = [[a[i][n + j] for j in range(n)] for i in range(n)]
-    for row in out:
-        for v in row:
-            if v.denominator != 1:
-                raise StructureError("matrix is not unimodular")
-    return [[int(v) for v in row] for row in out]
-
-
-def chern_vectors(mat: LinkingMatrix, d: int) -> ChernVectorSet:
-    """Lex-minimal representatives of {sigma = diag(L) mod 2} / 2 Im L."""
-    if d < 1:
-        raise StructureError("modulus must be positive")
-    n = len(mat)
-    if d ** n > ENUMERATION_LIMIT:
-        raise StructureError("Chern enumeration exceeds size limit")
-    two_d = 2 * d
-    subgroup = image_subgroup(mat, two_d, scale=2)
-    parity = tuple(mat[i][i] % 2 for i in range(n))
-    seen: set[tuple[int, ...]] = set()
-    classes = []
-    for tau in product(range(d), repeat=n):
-        sigma = tuple(parity[i] + 2 * tau[i] for i in range(n))
-        if sigma in seen:
-            continue
-        classes.append(sigma)
-        for s in subgroup:
-            seen.add(tuple((x + y) % two_d for x, y in zip(sigma, s)))
-    return ChernVectorSet(d, tuple(classes), subgroup)
-
-
-def homology_classes(mat: LinkingMatrix, d: int) -> HomologyClassSet:
+def homology_classes(mat: LinkingMatrix, d: int) -> CosetSet:
     """Lex-minimal representatives of (Z_d)^n / Im L."""
     if d < 1:
         raise StructureError("modulus must be positive")
     n = len(mat)
     if d ** n > ENUMERATION_LIMIT:
-        raise StructureError("homology enumeration exceeds size limit")
+        raise StructureError(f"coset enumeration over {d}^{n} vectors "
+                             "exceeds size limit")
     subgroup = image_subgroup(mat, d)
     seen: set[tuple[int, ...]] = set()
     classes = []
@@ -360,7 +296,23 @@ def homology_classes(mat: LinkingMatrix, d: int) -> HomologyClassSet:
         classes.append(x)
         for s in subgroup:
             seen.add(tuple((a + b) % d for a, b in zip(x, s)))
-    return HomologyClassSet(d, tuple(classes), subgroup)
+    return CosetSet(d, tuple(classes), subgroup)
+
+
+def chern_vectors(mat: LinkingMatrix, d: int) -> CosetSet:
+    """Lex-minimal representatives of {sigma = diag(L) mod 2} / 2 Im L.
+
+    sigma = diag(L) mod 2 + 2 tau, tau in [0, d)^n, and sigma ~ sigma' iff
+    tau - tau' is in Im L mod d, so these are the homology classes mapped by
+    tau -> parity + 2 tau (and the subgroup by s -> 2s).  Both maps are
+    strictly increasing in every coordinate, so lex-minimal representatives
+    and sorted order carry over."""
+    hom = homology_classes(mat, d)
+    parity = [mat[i][i] % 2 for i in range(len(mat))]
+    classes = tuple(tuple(p + 2 * t for p, t in zip(parity, tau))
+                    for tau in hom.classes)
+    subgroup = tuple(tuple(2 * x for x in s) for s in hom.subgroup)
+    return CosetSet(d, classes, subgroup)
 
 
 def coker_count(mat: LinkingMatrix, d: int) -> int:

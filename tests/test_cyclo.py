@@ -77,7 +77,8 @@ def test_invert_examples():
 
 def test_invert_is_two_sided_on_1000_random_values():
     rng = random.Random(123)
-    fields = [cyclo_field(n) for n in (4, 5, 8, 12, 20, 24, 32)]
+    fields = [cyclo_field(n)
+              for n in (4, 5, 8, 12, 18, 20, 24, 32, 40, 48, 56, 96)]
     done = 0
     while done < 1000:
         f = fields[rng.randrange(len(fields))]

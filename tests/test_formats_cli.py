@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from spinmod.invariants import Evaluator
 from spinmod.surgery import chain, forest
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -187,6 +191,40 @@ def test_cli_verify_rejects_non_positive_counts():
         rc, err = run_cli_err("verify", *argv)
         assert rc == 2
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+SL2_4_TEXT = formats.category_to_text(sl2_category(4))
+ZEROS_16 = " ".join(["0"] * 8)   # one number of Q(zeta_16)
+BAD_CATEGORY_FILES = {
+    "short_dual": ("dual 0 1 2\n", "dual 0 1\n"),
+    "negative_multiplicity": ("fusion 1 1 0 1\n", "fusion 1 1 0 -1\n"),
+    "fusion_index": ("end\n", "fusion 9 0 0 1\nend\n"),
+    "smat_index": ("end\n", f"smat 7 0 {ZEROS_16}\nend\n"),
+    "negative_labels": ("labels 3\n", "labels -1\n"),
+    "short_fusion": ("end\n", "fusion 1 1\nend\n"),
+    "qdim_index": ("end\n", f"qdim 7 {ZEROS_16}\nend\n"),
+    "label_index": ("end\n", "label 9 x\nend\n"),
+}
+BAD_MATRICES = ("[1]", "[[1],2]", "[[1.5]]", "[[true]]")
+
+
+@pytest.mark.parametrize("case", [*BAD_CATEGORY_FILES, *BAD_MATRICES])
+def test_cli_malformed_category_or_matrix_exits_2(case, tmp_path):
+    if case in BAD_CATEGORY_FILES:
+        old, new = BAD_CATEGORY_FILES[case]
+        assert old in SL2_4_TEXT
+        cat_file = tmp_path / f"{case}.cat"
+        cat_file.write_text(SL2_4_TEXT.replace(old, new, 1))
+        argv = ["category", "check", str(cat_file)]
+    else:
+        argv = ["structures", "spin", "--matrix", case, "--d", "2"]
+    proc = subprocess.run([sys.executable, "-m", "spinmod.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1
 
 
 def test_cli_verify_reports_are_seed_deterministic():

@@ -128,6 +128,8 @@ def test_solvers_match_brute_force_and_counts():
         assert image_subgroup(mat, d) == image_subgroup_factored(mat, d)
         assert image_subgroup(mat, 2 * d, scale=2) \
             == image_subgroup_factored(mat, 2 * d, scale=2)
+        assert chern_vectors(mat, d).subgroup \
+            == image_subgroup(mat, 2 * d, scale=2)
 
 
 def test_even_diagonal_spin_set_is_kernel_translate():
