@@ -4,8 +4,9 @@ A category is presented by purely numerical data on a finite label set:
 duality involution, quantum dimensions, twists, the unnormalized matrix of
 Hopf-link values, and fusion multiplicities.  That is exactly the data
 that determines colored invariants of plumbing forests, and it is enough
-to *decide* the premodular axioms, modularity (exact rank), transparency,
-invertibility, gradings and refinability -- all in exact arithmetic.
+to *decide* the premodular axioms, modularity (a mod-p rank certificate
+with exact fallback), transparency, invertibility, gradings and
+refinability -- all in exact arithmetic.
 
 Fusion multiplicities are part of the input data rather than derived:
 they make invertibility detection, degree additivity and cocycle lifts
@@ -15,6 +16,7 @@ exact and decidable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cyclo import CycloField, CycloNumber
 
@@ -172,17 +174,25 @@ def check_axioms(cat: CategoryData) -> AxiomReport:
                 complain(f"unit fusion fails at ({a},{b})")
             if cat.fusion[a][b][0] != (1 if b == dual[a] else 0):
                 complain(f"duality channel fails at ({a},{b})")
-    # Associativity of fusion multiplicities.
+    # Associativity of fusion multiplicities, summed over nonzero channels:
+    # (a b) c has sum_e N_ab^e N_ec^d copies of d, a (b c) has sum_e N_bc^e N_ae^d.
+    chan = cat.fusion_channels
     for a in range(n):
         for b in range(n):
+            ab = chan(a, b)
             for c in range(n):
-                for d in range(n):
-                    left = sum(cat.fusion[a][b][e] * cat.fusion[e][c][d]
-                               for e in range(n))
-                    right = sum(cat.fusion[b][c][e] * cat.fusion[a][e][d]
-                                for e in range(n))
-                    if left != right:
-                        complain(f"fusion associativity fails at ({a},{b},{c};{d})")
+                left = [0] * n
+                for e, m1 in ab:
+                    for d, m2 in chan(e, c):
+                        left[d] += m1 * m2
+                right = [0] * n
+                for e, m1 in chan(b, c):
+                    for d, m2 in chan(a, e):
+                        right[d] += m1 * m2
+                if left != right:
+                    for d in range(n):
+                        if left[d] != right[d]:
+                            complain(f"fusion associativity fails at ({a},{b},{c};{d})")
     # Ribbon identity: twist(a) twist(b) smat[a][b] = sum_c N^c_ab twist(c) qdim(c).
     for a in range(n):
         for b in range(a, n):
@@ -199,7 +209,7 @@ def check_axioms(cat: CategoryData) -> AxiomReport:
     transparent = tuple(a for a in range(n)
                         if all(smat[a][b] == qdim[a] * qdim[b] for b in range(n)))
 
-    modular = _rank(cat) == n
+    modular = _rank_mod_p(cat) == n or _rank(cat) == n
     global_dim = cat.field.zero
     for a in range(n):
         global_dim = global_dim + qdim[a] * qdim[a]
@@ -215,6 +225,87 @@ def check_axioms(cat: CategoryData) -> AxiomReport:
         global_dim=global_dim,
         criterion_agreement=agreement,
     )
+
+
+@lru_cache(maxsize=None)
+def _prime_and_root_powers(order: int) -> tuple[int, tuple[int, ...]]:
+    """A prime p = 1 (mod N) near 2^31 and g^0..g^(N-1) for an element g
+    of exact order N in F_p, i.e. a root of Phi_N mod p."""
+    p = (1 << 31) // order * order + 1
+    while not _is_prime(p):
+        p += order
+    prime_factors = [q for q in range(2, order + 1)
+                     if order % q == 0 and _is_prime(q)]
+    h = 2
+    while True:
+        g = pow(h, (p - 1) // order, p)
+        if all(pow(g, order // q, p) != 1 for q in prime_factors):
+            break
+        h += 1
+    powers = [1]
+    for _ in range(order - 1):
+        powers.append(powers[-1] * g % p)
+    return p, tuple(powers)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 3.4 * 10^14."""
+    if n < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17)
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rank_mod_p(cat: CategoryData) -> int:
+    """Rank of the Hopf-link matrix under zeta -> g in F_p, a lower bound
+    for the exact rank (0 when p divides some denominator).
+
+    zeta -> g is a ring map Z[zeta][1/den] -> F_p since g is a root of
+    Phi_N mod p, so a minor that is nonzero mod p is nonzero over Q(zeta).
+    """
+    n = cat.size
+    p, powers = _prime_and_root_powers(cat.field.order)
+    rows = []
+    for row in cat.smat:
+        out = []
+        for v in row:
+            if v.den % p == 0:
+                return 0
+            acc = sum(c * powers[j] for j, c in enumerate(v.num) if c)
+            out.append(acc * pow(v.den, -1, p) % p)
+        rows.append(out)
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        top = [v * inv % p for v in rows[rank]]
+        rows[rank] = top
+        for r in range(rank + 1, n):
+            f = rows[r][col]
+            if f:
+                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], top)]
+        rank += 1
+    return rank
 
 
 def _rank(cat: CategoryData) -> int:

@@ -37,12 +37,12 @@ def trivial_category() -> CategoryData:
     )
 
 
-def _quantum_integer(field: CycloField, r4: int, n: int) -> CycloNumber:
-    """[n] at A = zeta_r4, as the geometric sum A^(2(n-1)) + A^(2(n-3)) + ..."""
-    total = field.zero
-    for k in range(n):
-        total = total + field.zeta((2 * (n - 1 - 2 * k)) % r4)
-    return total
+def _quantum_integers(field: CycloField, r: int) -> list[CycloNumber]:
+    """[0], ..., [r-1] at A = zeta_4r, by [m+2] = [m] + A^(2(m+1)) + A^(-2(m+1))."""
+    q = [field.zero, field.one]
+    for m in range(r - 2):
+        q.append(q[m] + field.zeta(2 * (m + 1)) + field.zeta(-2 * (m + 1)))
+    return q[:r]
 
 
 def sl2_category(r: int) -> CategoryData:
@@ -55,10 +55,17 @@ def sl2_category(r: int) -> CategoryData:
         raise ConstructionError("r must be at least 3")
     n = r - 1
     field = cyclo_field(4 * r)
+    base = _quantum_integers(field, r)
+
+    def quantum(m: int) -> CycloNumber:
+        # A^(2r) = -1 gives [m + r] = -[m].
+        v = base[m % r]
+        return -v if (m // r) % 2 else v
+
     qdim = []
     twist = []
     for i in range(n):
-        q = _quantum_integer(field, 4 * r, i + 1)
+        q = quantum(i + 1)
         t = field.zeta((i * i + 2 * i) % (4 * r))
         if i % 2:
             q = -q
@@ -68,7 +75,7 @@ def sl2_category(r: int) -> CategoryData:
     smat = [[field.zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = _quantum_integer(field, 4 * r, (i + 1) * (j + 1))
+            v = quantum((i + 1) * (j + 1))
             if (i + j) % 2:
                 v = -v
             smat[i][j] = v

@@ -547,6 +547,11 @@ def _root_order(xi: CycloNumber, bound: int) -> int:
     raise MooError(f"xi is not a root of unity of order <= {bound}")
 
 
+def _check_enumeration_budget(base: int, n: int) -> None:
+    if base ** n > structures.ENUMERATION_LIMIT:
+        raise MooError(f"Gauss sum over {base}^{n} vectors exceeds size limit")
+
+
 def _quadratic_sum(mat, vectors, xi: CycloNumber, order: int) -> CycloNumber:
     n = len(mat)
     counts: dict[int, int] = {}
@@ -577,13 +582,14 @@ def moo(mat: structures.LinkingMatrix, m: int, xi: CycloNumber,
     one-variable Gauss sum g and its conjugate to the signature powers."""
     if m < 1:
         raise MooError("m must be positive")
+    n = len(mat)
+    _check_enumeration_budget(m, n)
     bound = m if m % 2 else 2 * m
     if not (xi ** bound).is_one():
         raise MooError(f"xi^{bound} != 1: wrong root order for modulus {m}")
     order = _root_order(xi, bound)
     if sig is None:
         sig = signature(mat)
-    n = len(mat)
     total = _quadratic_sum(mat, product(range(m), repeat=n), xi, order)
     g = gauss_sum(m, xi)
     gbar = g.conj()
@@ -606,12 +612,13 @@ def moo_refined(mat: structures.LinkingMatrix, params: MooParams,
     m, xi, delta, alpha = params.m, params.xi, params.delta, params.alpha
     if m < 1 or delta < 1 or alpha < 1:
         raise MooError("m, delta, alpha must be positive")
+    n = len(mat)
+    _check_enumeration_budget(alpha * m, n)
     big = alpha * delta * m
     bound = big if (delta * m) % 2 else 2 * big
     if not (xi ** bound).is_one():
         raise MooError(f"xi^{bound} != 1: wrong root order for range Z_{big}")
     order = _root_order(xi, bound)
-    n = len(mat)
     if len(klass) != n:
         raise MooError("congruence class has wrong length")
     klass = tuple(c % delta for c in klass)

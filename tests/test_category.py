@@ -1,14 +1,19 @@
 """Category data model: axiom battery, invertibles, gradings, refinable
 structures, Kirby colors."""
 
+from fractions import Fraction
+
 import pytest
 
+from spinmod import category
 from spinmod.category import (GradingError, MalformedCategoryError,
+                              _prime_and_root_powers, _rank, _rank_mod_p,
                               character_table, check_axioms,
                               default_primitive_root, grading, invertibles,
                               kirby_color, refinable_structures)
-from spinmod.constructions import (abelian_category, product_category,
-                                   sl2_category, trivial_category)
+from spinmod.constructions import (abelian_category, extend_category,
+                                   product_category, sl2_category,
+                                   trivial_category)
 from spinmod.cyclo import cyclo_field, make_root
 
 
@@ -34,6 +39,93 @@ def test_abelian_degenerate_is_all_transparent_not_modular():
 def test_abelian_zeta3_is_modular():
     rep = check_axioms(abelian_category(3, make_root(3, 1)))
     assert rep.premodular and rep.modular and rep.transparent == (0,)
+
+
+def _extension(r, alpha, xi_power):
+    cat = sl2_category(r)
+    grad = grading(cat, invertibles(cat))
+    return extend_category(cat, alpha, cat.field.zeta(xi_power), grad.degree,
+                           grad)
+
+
+RANK_CASES = [
+    *((f"sl2_{r}", lambda r=r: sl2_category(r), r - 1) for r in range(3, 17)),
+    ("abelian_zeta3", lambda: abelian_category(3, make_root(3, 1)), 3),
+    ("abelian_degenerate", lambda: abelian_category(3, cyclo_field(3).one), 1),
+    ("product_sl2_4_sl2_6",
+     lambda: product_category(sl2_category(4), sl2_category(6)), 15),
+    ("ext_sl2_5_a1_x0", lambda: _extension(5, 1, 0), 4),
+    ("ext_sl2_5_a1_x5", lambda: _extension(5, 1, 5), 2),
+    ("ext_sl2_5_a2_x0", lambda: _extension(5, 2, 0), 4),
+    ("ext_sl2_8_a2_x4", lambda: _extension(8, 2, 4), 7),
+]
+
+
+@pytest.mark.parametrize("build,expected", [c[1:] for c in RANK_CASES],
+                         ids=[c[0] for c in RANK_CASES])
+def test_mod_p_rank_is_bounded_by_exact_rank(build, expected):
+    cat = build()
+    assert _rank_mod_p(cat) <= _rank(cat) == expected
+
+
+def test_modularity_falls_back_to_exact_rank(monkeypatch):
+    exact_calls = []
+
+    def spy(cat):
+        exact_calls.append(cat.name)
+        return _rank(cat)
+
+    monkeypatch.setattr(category, "_rank", spy)
+    # The certificate settles a modular category without exact elimination.
+    assert check_axioms(sl2_category(5)).modular is True
+    assert exact_calls == []
+    # A short mod-p rank leaves the decision to the exact rank.
+    degenerate = abelian_category(3, cyclo_field(3).one)
+    assert _rank_mod_p(degenerate) < degenerate.size
+    assert check_axioms(degenerate).modular is False
+    assert exact_calls == [degenerate.name]
+    # So does a denominator divisible by p, where the map to F_p is undefined.
+    cat = sl2_category(5)
+    p, _ = _prime_and_root_powers(cat.field.order)
+    scaled = [[v * Fraction(1, p) for v in row] for row in cat.smat]
+    odd = type(cat)("scaled", cat.field, cat.labels, cat.dual, cat.qdim,
+                    cat.twist, scaled, cat.fusion)
+    assert _rank_mod_p(odd) == 0
+    assert check_axioms(odd).modular is True
+    assert exact_calls == [degenerate.name, "scaled"]
+
+
+def _dense_associativity_violations(fusion):
+    n = len(fusion)
+    out = []
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    left = sum(fusion[a][b][e] * fusion[e][c][d]
+                               for e in range(n))
+                    right = sum(fusion[b][c][e] * fusion[a][e][d]
+                                for e in range(n))
+                    if left != right:
+                        out.append(
+                            f"fusion associativity fails at ({a},{b},{c};{d})")
+    return out
+
+
+@pytest.mark.parametrize("a,b,c,mult", [(1, 2, 3, 2), (1, 1, 1, 1),
+                                        (2, 2, 2, 0)])
+def test_associativity_violations_match_dense_loop(a, b, c, mult):
+    cat = sl2_category(5)
+    fusion = [[list(row) for row in plane] for plane in cat.fusion]
+    assert fusion[a][b][c] != mult
+    fusion[a][b][c] = mult
+    broken = type(cat)(cat.name, cat.field, cat.labels, cat.dual, cat.qdim,
+                       cat.twist, cat.smat, fusion)
+    expected = _dense_associativity_violations(broken.fusion)
+    assert expected
+    rep = check_axioms(broken)
+    assert not rep.premodular
+    assert [v for v in rep.violations if "associativity" in v] == expected
 
 
 def test_malformed_data_rejected_before_checking():

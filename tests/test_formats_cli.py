@@ -19,6 +19,7 @@ from spinmod.cyclo import make_root
 from spinmod.invariants import Evaluator
 from spinmod.surgery import chain, forest
 
+DATA = Path(__file__).resolve().parent / "data"
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -239,6 +240,17 @@ def test_cli_verify_reports_are_seed_deterministic():
     rc4, out4 = run_cli("verify", "kirby", "--seed", "3", "--sequences", "25")
     rc5, out5 = run_cli("verify", "kirby", "--seed", "3", "--sequences", "25")
     assert rc4 == rc5 == 0 and out4 == out5
+
+
+def test_cli_verify_all_report_is_pinned():
+    # Every suite's report, byte for byte; a change to any computed value,
+    # witness or count shows up here.
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinmod.cli", "verify", "all", "--seed", "7"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        timeout=600)
+    assert proc.returncode == 0
+    assert proc.stdout == (DATA / "verify_all_seed7.txt").read_bytes()
 
 
 def test_invariant_csv_requires_refinement(tmp_path):

@@ -2,6 +2,7 @@
 refined tables, vanishing, sum formulas, Gauss-sum invariants and the
 decomposition formula."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,12 +12,13 @@ from spinmod.category import kirby_color
 from spinmod.constructions import abelian_category, sl2_category
 from spinmod.corpus import e8_forest, random_forest
 from spinmod.cyclo import make_root
+from spinmod import invariants
 from spinmod.invariants import (Evaluator, InvariantError, MooError,
                                 MooParams, NormalizationError,
                                 RefinementError, decomposition_check,
                                 decomposition_data, delta_weight, moo,
                                 moo_refined)
-from spinmod.structures import as_matrix
+from spinmod.structures import ENUMERATION_LIMIT, as_matrix
 from spinmod.surgery import apply_move, chain, forest, reverse, signature, \
     stabilize
 
@@ -216,6 +218,20 @@ def test_moo_examples():
     assert moo(as_matrix([[0, 1], [1, 0]]), 2, xi).exact.is_one()
     with pytest.raises(MooError):
         moo(as_matrix([[1]]), 3, make_root(4, 1))
+
+
+def test_moo_refuses_over_budget_before_enumerating(monkeypatch):
+    def never(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(invariants, "_quadratic_sum", never)
+    mat = as_matrix([[1, 0], [0, 1]])
+    xi = make_root(3, 1)
+    m = math.isqrt(ENUMERATION_LIMIT) + 1
+    with pytest.raises(MooError, match="exceeds size limit"):
+        moo(mat, m, xi)
+    with pytest.raises(MooError, match="exceeds size limit"):
+        moo_refined(mat, MooParams(1, xi, alpha=m), (0, 0))
 
 
 def test_pointed_category_invariant_equals_moo():
