@@ -166,9 +166,9 @@ def _run_structures(spec: JobSpec) -> int:
         elif spec.kind == "coh":
             reps = structures.cohomology_classes(mat, d).solutions
         elif spec.kind == "chern":
-            reps = structures.chern_vectors(mat, d).classes
+            reps = structures.chern_representatives(mat, d)
         elif spec.kind == "hom":
-            reps = structures.homology_classes(mat, d).classes
+            reps = structures.homology_representatives(mat, d)
         else:
             raise InputError(f"unknown structure kind {spec.kind!r}")
     except structures.StructureError as exc:
@@ -205,7 +205,7 @@ def _run_invariant(spec: JobSpec) -> int:
             else:
                 raise InputError(f"unknown refinement {spec.refine!r}")
             out["table"] = formats.table_to_json(table)
-    except InvariantError as exc:
+    except (InvariantError, structures.StructureError) as exc:
         raise InputError(str(exc)) from exc
     if spec.output == "csv":
         if table is None:

@@ -25,8 +25,9 @@ from itertools import product
 
 from . import structures
 from .category import (CategoryData, Grading, GradingError, KirbyColor,
-                       RefinableStructure, default_primitive_root, grading,
-                       invertibles, kirby_color, refinable_structures)
+                       RefinableStructure, character_value,
+                       default_primitive_root, grading, invertibles,
+                       kirby_color, refinable_structures)
 from .constructions import reduced_subcategory
 from .cyclo import CycloNumber, gauss_sum
 from .surgery import PlumbingForest, SignaturePair, signature
@@ -428,6 +429,13 @@ class Evaluator:
         (override releases the parity hypothesis for exploration only)."""
         return self._coset_table("spinc", forest, d, e_k, override)
 
+    def _graded_values(self, grad: Grading, forest: PlumbingForest,
+                       points) -> list[CycloNumber]:
+        """Raw F(graded s) for every degree vector s in ``points``."""
+        colors = [self.graded_color(grad, u, 1) for u in range(grad.modulus)]
+        return [self.eval_weighted(forest, [colors[u] for u in s])
+                for s in points]
+
     def _graded_table(self, kind: str, forest: PlumbingForest, d: int,
                       e_k: int) -> RefinedInvariantTable:
         """One graded-color evaluation per solution of L s = rhs mod d:
@@ -439,17 +447,36 @@ class Evaluator:
         sig = signature(mat)
         solve = (structures.spin_solutions if spin
                  else structures.cohomology_classes)
-        colors = [self.graded_color(grad, u, e_k) for u in range(d)]
-        entries = {}
-        for s in solve(mat, d).solutions:
-            raw = self.eval_weighted(forest, [colors[u] for u in s])
-            entries[s] = self.normalize(raw, sig)
-        return RefinedInvariantTable(kind, d, entries)
+        sols = solve(mat, d).solutions
+        raw = self._graded_values(grad, forest, sols)
+        return RefinedInvariantTable(
+            kind, d, {s: self.normalize(v, sig) for s, v in zip(sols, raw)})
 
     def _coset_table(self, kind: str, forest: PlumbingForest, d: int,
                      e_k: int, override: bool = False) -> RefinedInvariantTable:
         """Dual-color sums over cosets of Im L in (Z_d)^n (hom), or of
-        2 Im L in the Chern-vector slice of (Z_2d)^n (spinc)."""
+        2 Im L in the Chern-vector slice of (Z_2d)^n (spinc), by duality.
+
+        The dual color with parameter x is sum_u e^(x.u) graded(u), and
+        sum_(s in Im L) e^(s.u) is |Im L| on ker L (L is symmetric) and 0
+        elsewhere.  So with F the raw ``eval_weighted``:
+
+            hom(r)       = 1/|ker(L mod d)| * sum_(delta in ker(L mod d))
+                               e_d^(r.delta) F(graded delta)
+            spinc(sigma) = (-1)^n/|coker(L mod d)|
+                           * sum_(delta in spin_solutions(L, 2d))
+                               e_2d^(sigma.delta) F(graded delta)
+
+        (for spinc the sum runs over L delta = 0 mod d, and the graded
+        colors of a 2d-spin grading vanish off the characteristic
+        solutions).  The solutions are offset + sum_i k_i c_i with k in
+        prod Z_(g_i), so each sum is the phase e^(r.offset) times one
+        value of the Fourier transform of F over prod Z_(g_i)
+        (``_character_sums``): |solutions| forest evaluations and
+        |solutions| * sum_i g_i ring operations, instead of |classes| *
+        |Im L| evaluations.  The coset-by-coset double loop is the test
+        oracle.
+        """
         _check_modulus(d)
         spinc = kind == "spinc"
         if spinc and d % 2 and not override:
@@ -459,17 +486,32 @@ class Evaluator:
         grad = self.structure_grading(mod, spin=spinc, e_k=e_k)
         mat = forest.linking_matrix()
         sig = signature(mat)
-        cosets = (structures.chern_vectors if spinc
-                  else structures.homology_classes)(mat, d)
-        scale = Fraction((-1) ** forest.n if spinc else 1, d ** forest.n)
-        colors = [self.dual_color(grad, v, e_k) for v in range(mod)]
+        rhs = (structures.characteristic_rhs(mat, mod) if spinc
+               else (0,) * forest.n)
+        # never None: diag(L) mod 2 lies in Im(L mod 2) for symmetric L
+        sols = structures.solution_coset(mat, rhs, mod)
+        powers = [self.cat.field.one]
+        for _ in range(mod - 1):
+            powers.append(powers[-1] * grad.e_d)
+        sums = _character_sums(
+            self._graded_values(grad, forest, sols.points()), sols, powers)
+        classes = (structures.chern_representatives if spinc
+                   else structures.homology_representatives)(mat, d)
+        # |classes| = |coker(L mod d)| = |ker(L mod d)|, L being square
+        scale = Fraction((-1) ** forest.n if spinc else 1, len(classes))
+        # entry r reads the transform at f_i(r) = r.c_i / (mod/g_i) mod g_i
+        freqs = [(g, [(j, x // (mod // g)) for j, x in enumerate(c) if x])
+                 for c, g in zip(sols.gens, sols.orders)]
         entries = {}
-        for rep in cosets.classes:
-            acc = self.cat.field.zero
-            for shift in cosets.subgroup:
-                weights = [colors[(a + b) % mod] for a, b in zip(rep, shift)]
-                acc = acc + self.eval_weighted(forest, weights)
-            entries[rep] = self.normalize(acc.scale(scale), sig)
+        for rep in classes:
+            index = 0
+            for g, coeffs in freqs:
+                index = index * g + sum(rep[j] * h for j, h in coeffs) % g
+            raw = sums[index]
+            e = sum(a * b for a, b in zip(rep, sols.offset)) % mod
+            if e:
+                raw = powers[e] * raw
+            entries[rep] = self.normalize(raw.scale(scale), sig)
         return RefinedInvariantTable(kind, d, entries)
 
     def wrt_generalized_spin(self, forest: PlumbingForest,
@@ -491,7 +533,6 @@ class Evaluator:
         for g in generators:
             if g not in group.elements:
                 raise RefinementError(f"label {g} is not invertible")
-            from .category import character_value
             if any(character_value(self.cat, g, h) != one
                    for h in group.elements):
                 raise RefinementError(
@@ -520,6 +561,38 @@ class Evaluator:
             key = tuple(x for vec in combo for x in vec)
             entries[key] = self.normalize(raw, sig)
         return RefinedInvariantTable("kv", 0, entries)
+
+
+def _character_sums(values: list[CycloNumber],
+                    sols: structures.GeneratedCoset,
+                    powers: list[CycloNumber]) -> list[CycloNumber]:
+    """The discrete Fourier transform of ``values`` over prod_i Z_(g_i).
+
+    ``values[k]`` belongs to k in lexicographic order, g = ``sols.orders``
+    and ``powers[j]`` = e^j for e of order ``sols.modulus`` = M.  Returns,
+    at the same positions f, sum_k values[k] prod_i e^((M/g_i) k_i f_i),
+    one axis at a time."""
+    out = list(values)
+    mod = sols.modulus
+    stride = len(out)
+    for order in sols.orders:
+        stride //= order
+        step = mod // order
+        for block in range(0, len(out), stride * order):
+            for base in range(block, block + stride):
+                fiber = out[base:base + stride * order:stride]
+                for f in range(order):
+                    acc = fiber[0]
+                    for k in range(1, order):
+                        x = fiber[k]
+                        if x.is_zero():
+                            continue
+                        j = step * k * f % mod
+                        if j:   # e has exact order M, so e^(M/2) = -1
+                            x = -x if 2 * j == mod else powers[j] * x
+                        acc = acc + x
+                    out[base + f * stride] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------

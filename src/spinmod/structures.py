@@ -7,14 +7,15 @@ For a linking matrix L these are, over Z_d (or Z_2d for Chern vectors):
 - chern: {sigma : sigma_i = L_ii mod 2} / 2 Im L   in (Z_2d)^n,
 - hom:   (Z_d)^n / Im L                            (classes in H_1).
 
-Solution sets are computed by Smith-normal-form reduction; subgroups and
-cosets by breadth-first closure over column generators.  Every solver has
-a brute-force twin used for cross-validation: modular linear algebra is
-the riskiest plumbing in the package, so nothing here is trusted without
-an independent oracle.
-
+Solution sets are computed by Smith-normal-form reduction, and so are the
+subgroups (Im L, 2 Im L), enumerated over independent cyclic generators.
 Coset representatives are canonicalized by lexicographic minimality, so
-structure sets compare as sorted lists.
+structure sets compare as sorted lists; they are read off the pivots of
+the Howell form of Im L over Z_d (coordinate i runs over [0, pivot_i)),
+with no walk over (Z_d)^n.  Every solver has a twin used for
+cross-validation: breadth-first subgroup closure and brute-force walks
+over (Z_d)^n.  Modular linear algebra is the riskiest plumbing in the
+package, so nothing here is trusted without an independent oracle.
 """
 
 from __future__ import annotations
@@ -55,14 +56,25 @@ def as_matrix(rows) -> LinkingMatrix:
 # Smith normal form
 
 
-def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+def smith_normal_form(mat, mod: int | None = None
+                      ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """U, D, V with U @ mat @ V = D diagonal, U and V unimodular, and the
-    diagonal entries nonnegative with d_i | d_(i+1)."""
+    diagonal entries nonnegative with d_i | d_(i+1).
+
+    With ``mod``, every entry is kept reduced into [0, mod): U @ mat @ V = D
+    holds mod ``mod`` with U and V invertible mod ``mod``, which is all the
+    modular solvers use.  Over the integers U and V can grow to hundreds
+    of thousands of bits on 30-vertex trees; reduced, they cannot grow."""
     a = [list(map(int, row)) for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
     u = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def reduce(row):
+        return [x % mod for x in row] if mod else row
+
+    a, u, v = ([reduce(row) for row in x] for x in (a, u, v))
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -76,14 +88,14 @@ def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[
 
     def add_row(i, j, c):
         # row_i += c * row_j
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        a[i] = reduce([x + c * y for x, y in zip(a[i], a[j])])
+        u[i] = reduce([x + c * y for x, y in zip(u[i], u[j])])
 
     def add_col(i, j, c):
-        for row in a:
+        for row in a + v:
             row[i] += c * row[j]
-        for row in v:
-            row[i] += c * row[j]
+            if mod:
+                row[i] %= mod
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -144,35 +156,73 @@ def _mat_vec_mod(mat, vec, mod: int) -> tuple[int, ...]:
     return tuple(sum(r * x for r, x in zip(row, vec)) % mod for row in mat)
 
 
-def solve_mod(mat, rhs, d: int) -> list[tuple[int, ...]]:
-    """All x in (Z_d)^n with mat @ x = rhs (mod d), sorted lexicographically."""
+@dataclass(frozen=True)
+class GeneratedCoset:
+    """offset + sum_i k_i gens[i] in (Z_modulus)^n, 0 <= k_i < orders[i];
+    the generators are independent, so every k gives a distinct point."""
+
+    modulus: int
+    offset: tuple[int, ...]
+    gens: tuple[tuple[int, ...], ...]
+    orders: tuple[int, ...]
+
+    @property
+    def count(self) -> int:
+        return math.prod(self.orders)
+
+    def points(self) -> list[tuple[int, ...]]:
+        """Every point, in lexicographic order of k; refused over budget."""
+        if self.count > ENUMERATION_LIMIT:
+            raise StructureError(f"enumeration of {self.count} vectors "
+                                 "exceeds size limit")
+        out = []
+        for ks in product(*[range(g) for g in self.orders]):
+            vec = list(self.offset)
+            for k, gen in zip(ks, self.gens):
+                if k:
+                    for r, x in enumerate(gen):
+                        vec[r] += k * x
+            out.append(tuple(x % self.modulus for x in vec))
+        return out
+
+
+def solution_coset(mat, rhs, d: int) -> GeneratedCoset | None:
+    """The solutions of mat @ x = rhs (mod d), or None when there are none.
+
+    With U mat V = D, x = V y and d_i y_i = c_i (mod d) for c = U rhs, so
+    y_i runs over y0_i + k (d/g_i), 0 <= k < g_i = gcd(d_i, d) (a free
+    coordinate has g_i = d).  V is invertible mod d, so x = V y is
+    injective."""
     if d < 1:
         raise StructureError("modulus must be positive")
     m = len(mat)
     n = len(mat[0]) if m else 0
-    u, dd, v = smith_normal_form(mat)
+    u, dd, v = smith_normal_form(mat, d)
     c = _mat_vec_mod(u, rhs, d)
-    per_coord: list[list[int]] = []
+    if any(c[i] % d for i in range(n, m)):
+        return None
+    y0 = []
+    gens, orders = [], []
     for i in range(n):
         di = dd[i][i] % d if i < m else 0
         ci = c[i] if i < m else 0
         g = math.gcd(di, d)
         if ci % g:
-            return []
-        if g == d:
-            # di = 0 mod d and ci = 0 mod d: the coordinate is free
-            per_coord.append(list(range(d)))
-            continue
+            return None
         step = d // g
-        y0 = (pow(di // g, -1, step) * ((ci // g) % step)) % step
-        per_coord.append([(y0 + k * step) % d for k in range(g)])
-    for i in range(n, m):
-        if c[i] % d:
-            return []
-    sols = []
-    for y in product(*per_coord):
-        sols.append(_mat_vec_mod(v, y, d))
-    return sorted(set(sols))
+        y0.append((pow(di // g, -1, step) * ((ci // g) % step)) % step)
+        if g > 1:
+            gens.append(tuple(step * row[i] % d for row in v))
+            orders.append(g)
+    return GeneratedCoset(d, _mat_vec_mod(v, y0, d), tuple(gens),
+                          tuple(orders))
+
+
+def solve_mod(mat, rhs, d: int) -> list[tuple[int, ...]]:
+    """All x in (Z_d)^n with mat @ x = rhs (mod d), sorted lexicographically;
+    refused before enumerating when there are more than the budget."""
+    coset = solution_coset(mat, rhs, d)
+    return [] if coset is None else sorted(coset.points())
 
 
 # ---------------------------------------------------------------------------
@@ -261,65 +311,111 @@ def image_subgroup_factored(mat: LinkingMatrix, mod: int, scale: int = 1
     of order mod / gcd(d_i, mod), independent of the others."""
     n = len(mat)
     scaled = [[scale * v for v in row] for row in mat]
-    _, dd, v = smith_normal_form(scaled)
-    gens = []
+    _, dd, v = smith_normal_form(scaled, mod)
+    gens, orders = [], []
     for i in range(n):
         order = mod // math.gcd(dd[i][i], mod)
         if order > 1:
-            gens.append((_mat_vec_mod(scaled, [row[i] for row in v], mod),
-                         order))
-    elements = []
-    for exps in product(*[range(order) for (_, order) in gens]):
-        vec = [0] * n
-        for (gen, _), e in zip(gens, exps):
-            if e:
-                for r in range(n):
-                    vec[r] += e * gen[r]
-        elements.append(tuple(v % mod for v in vec))
-    return tuple(sorted(elements))
+            gens.append(_mat_vec_mod(scaled, [row[i] for row in v], mod))
+            orders.append(order)
+    subgroup = GeneratedCoset(mod, (0,) * n, tuple(gens), tuple(orders))
+    return tuple(sorted(subgroup.points()))
 
 
-def homology_classes(mat: LinkingMatrix, d: int) -> CosetSet:
-    """Lex-minimal representatives of (Z_d)^n / Im L."""
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s a + t b = g = gcd(a, b)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def howell_pivots(mat: LinkingMatrix, d: int) -> tuple[int, ...]:
+    """Pivot moduli a_0, ..., a_(n-1) of the Howell form of Im L over Z_d.
+
+    The elements of Im L whose first i coordinates vanish have i-th
+    coordinates a_i Z_d, with a_i | d (a_i = d when there is no pivot in
+    column i).  Computed as the diagonal of the Hermite form of the
+    lattice L Z^n + d Z^n: column by column, the generator d e_i absorbs
+    every remaining generator with a nonzero i-th entry by unimodular
+    2x2 steps, which leave the others zero there.  Entries right of the
+    column are reduced mod d, as d e_k (k > i) are still generators.  The
+    product of the pivots is |coker(L mod d)|."""
     if d < 1:
         raise StructureError("modulus must be positive")
     n = len(mat)
-    if d ** n > ENUMERATION_LIMIT:
-        raise StructureError(f"coset enumeration over {d}^{n} vectors "
+    gens = [[mat[i][j] % d for i in range(n)] for j in range(n)]
+    pivots = []
+    for i in range(n):
+        pivot = [0] * n
+        pivot[i] = d
+        rest = []
+        for g in gens:
+            if g[i]:
+                a, b = pivot[i], g[i]
+                h, s, t = _xgcd(a, b)
+                pivot, g = ([(s * x + t * y) % d for x, y in zip(pivot, g)],
+                            [(a // h * y - b // h * x) % d
+                             for x, y in zip(pivot, g)])
+                pivot[i] = h
+            if any(g):
+                rest.append(g)
+        pivots.append(pivot[i])
+        gens = rest
+    return tuple(pivots)
+
+
+def homology_representatives(mat: LinkingMatrix, d: int
+                             ) -> tuple[tuple[int, ...], ...]:
+    """Lex-minimal representatives of (Z_d)^n / Im L, in lex order.
+
+    With a_i the Howell pivots, every coset has exactly one element with
+    each coordinate i in [0, a_i): subtracting a multiple of the element
+    that vanishes before i and has a_i at i brings coordinate i there
+    without touching the earlier ones, and the box holds prod a_i =
+    |coker| vectors.  So the box is the set of lex-minimal
+    representatives, and no vector outside it is visited."""
+    pivots = howell_pivots(mat, d)
+    count = math.prod(pivots)
+    if count > ENUMERATION_LIMIT:
+        raise StructureError(f"enumeration of {count} homology classes "
                              "exceeds size limit")
-    subgroup = image_subgroup(mat, d)
-    seen: set[tuple[int, ...]] = set()
-    classes = []
-    for x in product(range(d), repeat=n):
-        if x in seen:
-            continue
-        classes.append(x)
-        for s in subgroup:
-            seen.add(tuple((a + b) % d for a, b in zip(x, s)))
-    return CosetSet(d, tuple(classes), subgroup)
+    return tuple(product(*[range(a) for a in pivots]))
 
 
-def chern_vectors(mat: LinkingMatrix, d: int) -> CosetSet:
+def chern_representatives(mat: LinkingMatrix, d: int
+                          ) -> tuple[tuple[int, ...], ...]:
     """Lex-minimal representatives of {sigma = diag(L) mod 2} / 2 Im L.
 
     sigma = diag(L) mod 2 + 2 tau, tau in [0, d)^n, and sigma ~ sigma' iff
-    tau - tau' is in Im L mod d, so these are the homology classes mapped by
-    tau -> parity + 2 tau (and the subgroup by s -> 2s).  Both maps are
-    strictly increasing in every coordinate, so lex-minimal representatives
-    and sorted order carry over."""
-    hom = homology_classes(mat, d)
+    tau - tau' is in Im L mod d, so these are the homology representatives
+    mapped by tau -> parity + 2 tau.  The map is strictly increasing in
+    every coordinate, so lex-minimality and sorted order carry over."""
     parity = [mat[i][i] % 2 for i in range(len(mat))]
-    classes = tuple(tuple(p + 2 * t for p, t in zip(parity, tau))
-                    for tau in hom.classes)
-    subgroup = tuple(tuple(2 * x for x in s) for s in hom.subgroup)
-    return CosetSet(d, classes, subgroup)
+    return tuple(tuple(p + 2 * t for p, t in zip(parity, tau))
+                 for tau in homology_representatives(mat, d))
+
+
+def homology_classes(mat: LinkingMatrix, d: int) -> CosetSet:
+    """Lex-minimal representatives of (Z_d)^n / Im L, with Im L."""
+    return CosetSet(d, homology_representatives(mat, d),
+                    image_subgroup_factored(mat, d))
+
+
+def chern_vectors(mat: LinkingMatrix, d: int) -> CosetSet:
+    """Lex-minimal representatives of {sigma = diag(L) mod 2} / 2 Im L,
+    with 2 Im L in (Z_2d)^n."""
+    return CosetSet(d, chern_representatives(mat, d),
+                    image_subgroup_factored(mat, 2 * d, 2))
 
 
 def coker_count(mat: LinkingMatrix, d: int) -> int:
     """|coker(L mod d)| from the Smith normal form, independent of the
     coset enumerations."""
     n = len(mat)
-    _, dd, _ = smith_normal_form(mat)
+    _, dd, _ = smith_normal_form(mat, d)
     count = 1
     for i in range(n):
         count *= math.gcd(dd[i][i], d)

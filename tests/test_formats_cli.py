@@ -228,6 +228,25 @@ def test_cli_malformed_category_or_matrix_exits_2(case, tmp_path):
     assert len(errors) == 1
 
 
+@pytest.mark.parametrize("refine", ["coh", "hom"])
+def test_cli_oversized_structure_set_exits_2_before_enumerating(refine,
+                                                                tmp_path):
+    # 25 unlinked 0-framed unknots: ker(L mod 2) has 2^25 elements, over
+    # the enumeration budget; the refusal must come before any walk
+    forest_file = tmp_path / "unknots.forest"
+    forest_file.write_text("".join(f"vertex {v} framing 0\n"
+                                   for v in range(25)))
+    argv = ["invariant", "--category", "builtin:sl2:6", "--manifold",
+            str(forest_file), "--refine", refine, "--d", "2"]
+    proc = subprocess.run([sys.executable, "-m", "spinmod.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "exceeds size limit" in errors[0]
+
+
 def test_cli_verify_reports_are_seed_deterministic():
     rc1, out1 = run_cli("verify", "bijection", "--seed", "11")
     rc2, out2 = run_cli("verify", "bijection", "--seed", "11")

@@ -11,8 +11,8 @@ import pytest
 from spinmod.category import kirby_color
 from spinmod.constructions import abelian_category, sl2_category
 from spinmod.corpus import e8_forest, random_forest
-from spinmod.cyclo import make_root
-from spinmod import invariants
+from spinmod.cyclo import cyclo_field, make_root
+from spinmod import invariants, structures
 from spinmod.invariants import (Evaluator, InvariantError, MooError,
                                 MooParams, NormalizationError,
                                 RefinementError, decomposition_check,
@@ -209,6 +209,88 @@ def test_wrt_spinc_requires_even_d(ev8):
         ev8.wrt_spinc(forest([1]), 1)
     with pytest.raises(RefinementError):
         ev8.wrt_spinc(forest([1]), 2)  # sl2(8) is not 4-spin
+
+
+def coset_table_oracle(ev, kind, f, d, e_k=1):
+    """The coset-by-coset double loop: for each class, the dual-color
+    evaluation summed over the whole subgroup, |classes| * |Im L| forest
+    evaluations in all."""
+    spinc = kind == "spinc"
+    mod = 2 * d if spinc else d
+    grad = ev.structure_grading(mod, spin=spinc, e_k=e_k)
+    mat = f.linking_matrix()
+    sig = signature(mat)
+    cosets = (structures.chern_vectors if spinc
+              else structures.homology_classes)(mat, d)
+    scale = Fraction((-1) ** f.n if spinc else 1, d ** f.n)
+    colors = [ev.dual_color(grad, v, e_k) for v in range(mod)]
+    entries = {}
+    for rep in cosets.classes:
+        acc = ev.cat.field.zero
+        for shift in cosets.subgroup:
+            weights = [colors[(a + b) % mod] for a, b in zip(rep, shift)]
+            acc = acc + ev.eval_weighted(f, weights)
+        entries[rep] = ev.normalize(acc.scale(scale), sig).exact
+    return entries
+
+
+def _exact_entries(table):
+    return [(k, v.exact) for k, v in table.entries.items()]
+
+
+# every modulus of a non-spin refinable structure among the categories the
+# package builds: sl2(r) for r = 2 mod 4 (d = 2), the pointed categories
+# with trivial twists (d | n); max_vertices keeps the oracle's d^n small
+HOM_CASES = [
+    ("sl2_6", lambda: sl2_category(6), 2, 1, 8),
+    ("sl2_10", lambda: sl2_category(10), 2, 1, 7),
+    ("abelian_3", lambda: abelian_category(3, cyclo_field(3).one), 3, 1, 7),
+    ("abelian_4_d2", lambda: abelian_category(4, cyclo_field(4).one), 2, 1, 8),
+    ("abelian_4", lambda: abelian_category(4, cyclo_field(4).one), 4, 1, 5),
+    ("abelian_4_e3", lambda: abelian_category(4, cyclo_field(4).one), 4, 3, 5),
+    ("abelian_6", lambda: abelian_category(6, cyclo_field(6).one), 6, 1, 4),
+]
+
+
+@pytest.mark.parametrize("name,make,d,e_k,max_n", HOM_CASES,
+                         ids=[c[0] for c in HOM_CASES])
+def test_hom_table_matches_coset_oracle(name, make, d, e_k, max_n):
+    ev = Evaluator(make())
+    rng = random.Random(f"hom/{name}")
+    trees = [forest([0]), forest([0, 0]), chain([2, 0]), chain([d, d])]
+    trees += [random_forest(rng, max_vertices=max_n, max_framing=4)
+              for _ in range(12)]
+    for f in trees:
+        table = ev.wrt_homology(f, d, e_k=e_k)
+        assert _exact_entries(table) \
+            == list(coset_table_oracle(ev, "hom", f, d, e_k).items())
+
+
+@pytest.mark.parametrize("r", [8, 12, 16])
+def test_spinc_override_table_matches_coset_oracle(r):
+    ev = Evaluator(sl2_category(r))
+    rng = random.Random(r)
+    trees = [forest([0]), forest([0, 0]), chain([1, 2]), chain([0, 3])]
+    trees += [random_forest(rng, max_vertices=8, max_framing=4)
+              for _ in range(12)]
+    for f in trees:
+        table = ev.wrt_spinc(f, 1, override=True)
+        assert _exact_entries(table) \
+            == list(coset_table_oracle(ev, "spinc", f, 1).items())
+
+
+def test_hom_table_on_a_30_vertex_tree(ev6):
+    # the old walk refused (Z_2)^30; the table needs |ker| evaluations
+    rng = random.Random(30)
+    f = forest([rng.randint(-4, 4) for _ in range(30)],
+               [((v - 1) // 2, v, rng.choice([1, -1])) for v in range(1, 30)])
+    mat = f.linking_matrix()
+    table = ev6.wrt_homology(f, 2)
+    assert len(table.entries) == structures.coker_count(mat, 2)
+    # the characters of the classes sum to |coker| at delta = 0 only
+    grad = ev6.structure_grading(2, spin=False)
+    degree0 = ev6.eval_weighted(f, [ev6.graded_color(grad, 0, 1)] * f.n)
+    assert table.total() == ev6.normalize(degree0, signature(mat)).exact
 
 
 def test_moo_examples():

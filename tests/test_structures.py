@@ -1,8 +1,9 @@
 """Structure-set solvers: Smith normal form, coset enumeration, counts,
 brute-force cross-validation, and matrix-level transport."""
 
+import math
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +13,11 @@ from spinmod.structures import (StructureError, as_matrix,
                                 brute_cohomology_classes,
                                 brute_homology_classes, brute_spin_solutions,
                                 chern_vectors, cohomology_classes,
-                                coker_count, homology_classes,
-                                image_subgroup, image_subgroup_factored,
-                                move_matrix, smith_normal_form,
+                                chern_representatives, coker_count,
+                                homology_classes, homology_representatives,
+                                howell_pivots, image_subgroup,
+                                image_subgroup_factored, move_matrix,
+                                smith_normal_form, solution_coset,
                                 solve_mod, spin_solutions, transport)
 
 
@@ -67,6 +70,36 @@ def test_chern_parity_and_lex_minimality():
         assert rep == min(coset)
 
 
+def matmul(x, y):
+    return [[sum(x[i][k] * y[k][j] for k in range(len(y)))
+             for j in range(len(y[0]))] for i in range(len(x))]
+
+
+def det(x):
+    total = 0
+    for perm in permutations(range(len(x))):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(len(perm))
+                           for j in range(i + 1, len(perm)))
+        total += sign * math.prod(x[i][perm[i]] for i in range(len(x)))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_smith_normal_form_mod_properties(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    m = rng.randint(1, 4)
+    mod = rng.randint(1, 12)
+    a = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
+    u, d, v = smith_normal_form(a, mod)
+    uav = matmul(matmul(u, a), v)
+    assert [[x % mod for x in row] for row in uav] == d
+    assert all(0 <= x < mod for row in u + d + v for x in row)
+    assert all(d[i][j] == 0 for i in range(n) for j in range(m) if i != j)
+    assert math.gcd(det(u), mod) == 1 and math.gcd(det(v), mod) == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_smith_normal_form_properties(seed):
@@ -75,11 +108,6 @@ def test_smith_normal_form_properties(seed):
     m = rng.randint(1, 4)
     a = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
     u, d, v = smith_normal_form(a)
-
-    def matmul(x, y):
-        return [[sum(x[i][k] * y[k][j] for k in range(len(y)))
-                 for j in range(len(y[0]))] for i in range(len(x))]
-
     assert matmul(matmul(u, a), v) == d
     for i in range(min(n, m)):
         for j in range(min(n, m)):
@@ -186,3 +214,63 @@ def test_enumeration_limits():
     big = as_matrix([[0] * 9 for _ in range(9)])
     with pytest.raises(StructureError):
         homology_classes(big, 8)
+
+
+def test_solution_enumeration_refuses_before_walking():
+    # 2^25 kernel vectors: refused from the Smith normal form alone
+    zero = as_matrix([[0] * 25 for _ in range(25)])
+    assert solution_coset(zero, (0,) * 25, 2).count == 2 ** 25
+    with pytest.raises(StructureError, match="exceeds size limit"):
+        cohomology_classes(zero, 2)
+    with pytest.raises(StructureError, match="exceeds size limit"):
+        homology_representatives(zero, 2)
+    # a chain of 25 has few classes: no (Z_2)^25 walk is needed
+    chain = [[0] * 25 for _ in range(25)]
+    for i in range(25):
+        chain[i][i] = 2
+        if i:
+            chain[i][i - 1] = chain[i - 1][i] = 1
+    chain = as_matrix(chain)
+    assert len(homology_representatives(chain, 2)) == coker_count(chain, 2)
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=4, span=4):
+    n = draw(st.integers(1, max_n))
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mat[i][j] = mat[j][i] = draw(st.integers(-span, span))
+    return as_matrix(mat)
+
+
+def check_representatives(mat, d):
+    reps = homology_representatives(mat, d)
+    assert reps == brute_homology_classes(mat, d)
+    assert math.prod(howell_pivots(mat, d)) == coker_count(mat, d)
+    assert homology_classes(mat, d).subgroup == image_subgroup(mat, d)
+    assert chern_representatives(mat, d) == brute_chern_vectors(mat, d)
+    assert chern_vectors(mat, d).subgroup == image_subgroup(mat, 2 * d, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices(), st.integers(1, 6))
+def test_howell_representatives_match_brute_force(mat, d):
+    check_representatives(mat, d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_howell_representatives_pinned_cases(n, d):
+    # diag(d, 1, ..., 1): the pivot sits on the leading coordinate, and a
+    # walk that stops at the first full coset would stop too early
+    lead = as_matrix([[(d if i == 0 else 1) if i == j else 0
+                       for j in range(n)] for i in range(n)])
+    assert howell_pivots(lead, d) == (d,) + (1,) * (n - 1)
+    check_representatives(lead, d)
+    # zero matrix: the cokernel (Z_d)^n is not cyclic
+    zero = as_matrix([[0] * n for _ in range(n)])
+    assert howell_pivots(zero, d) == (d,) * n
+    assert homology_representatives(zero, d) \
+        == tuple(product(range(d), repeat=n))
+    check_representatives(zero, d)
