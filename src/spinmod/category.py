@@ -345,10 +345,6 @@ class InvertibleGroup:
     generator: int | None
     inverse: dict[int, int]
 
-    @property
-    def is_cyclic(self) -> bool:
-        return self.generator is not None
-
     def power(self, g: int, k: int) -> int:
         k %= self.element_orders[g]
         result = 0
@@ -367,18 +363,24 @@ def invertibles(cat: CategoryData) -> InvertibleGroup:
             continue
         if all(sum(cat.fusion[g][lam]) == 1 for lam in range(n)):
             elems.append(g)
+    if 0 not in elems:
+        raise MalformedCategoryError("the unit label 0 is not invertible")
     table: dict[tuple[int, int], int] = {}
     for g in elems:
         for h in elems:
             chans = cat.fusion_channels(g, h)
-            if len(chans) != 1 or chans[0][1] != 1:
+            if len(chans) != 1 or chans[0][1] != 1 or chans[0][0] not in elems:
                 raise MalformedCategoryError(
-                    f"invertible product {g}*{h} is not a single label")
+                    f"invertible product {g}*{h} is not a single invertible "
+                    "label")
             table[(g, h)] = chans[0][0]
     orders: dict[int, int] = {}
     for g in elems:
         k, cur = 1, g
         while cur != 0:
+            if k == len(elems):
+                raise MalformedCategoryError(
+                    f"no power of invertible label {g} is the unit")
             cur = table[(cur, g)]
             k += 1
         orders[g] = k

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from . import formats, structures, verify
-from .category import check_axioms
+from .category import MalformedCategoryError, check_axioms
 from .invariants import Evaluator, InvariantError
 from .surgery import signature
 
@@ -205,7 +205,8 @@ def _run_invariant(spec: JobSpec) -> int:
             else:
                 raise InputError(f"unknown refinement {spec.refine!r}")
             out["table"] = formats.table_to_json(table)
-    except (InvariantError, structures.StructureError) as exc:
+    except (InvariantError, MalformedCategoryError,
+            structures.StructureError) as exc:
         raise InputError(str(exc)) from exc
     if spec.output == "csv":
         if table is None:

@@ -120,7 +120,8 @@ def _check_modulus(d: int) -> None:
 
 class Evaluator:
     """Caches per-category data (twist powers, inverse dimensions, leaf
-    messages, unknot values, gradings) across many forest evaluations.
+    messages, unknot values) across many forest evaluations, and the
+    gradings keyed by (generator, e_k).
 
     All evaluation methods are pure functions of (category, forest,
     weights); every cache is keyed by the weight vector itself, never by a
@@ -136,7 +137,7 @@ class Evaluator:
         self._denom_inv: dict[int, CycloNumber] = {}
         self._group = None
         self._refinables: list[RefinableStructure] | None = None
-        self._gradings: dict[tuple[int, int, bool | None], Grading] = {}
+        self._gradings: dict[tuple[int, int], Grading] = {}
         self._plain = kirby_color(cat, "plain")
 
     # -- cached atoms --------------------------------------------------------
@@ -383,15 +384,21 @@ class Evaluator:
 
     def structure_grading(self, order: int, spin: bool | None,
                           e_k: int = 1) -> Grading:
-        key = (order, e_k, spin)
+        return self._grading(self.find_structure(order, spin).generator, e_k)
+
+    def _grading(self, generator: int, e_k: int) -> Grading:
+        """Grading by the cyclic subgroup of ``generator`` (order g) under
+        e_d = zeta_g^e_k; a non-primitive root is a RefinementError."""
+        key = (generator, e_k)
         grad = self._gradings.get(key)
         if grad is None:
-            s = self.find_structure(order, spin)
+            group = self.group()
             try:
-                e_d = default_primitive_root(self.cat.field, order, e_k)
+                e_d = default_primitive_root(
+                    self.cat.field, group.element_orders[generator], e_k)
+                grad = grading(self.cat, group, generator, e_d)
             except GradingError as exc:
                 raise RefinementError(str(exc)) from exc
-            grad = grading(self.cat, self.group(), s.generator, e_d)
             self._gradings[key] = grad
         return grad
 
@@ -413,11 +420,15 @@ class Evaluator:
 
     def wrt_spin(self, forest: PlumbingForest, d: int,
                  e_k: int = 1) -> RefinedInvariantTable:
-        return self._graded_table("spin", forest, d, e_k)
+        _check_modulus(d)
+        grad = self.structure_grading(d, spin=True, e_k=e_k)
+        return self._product_table("spin", d, forest, [grad])
 
     def wrt_cohomology(self, forest: PlumbingForest, d: int,
                        e_k: int = 1) -> RefinedInvariantTable:
-        return self._graded_table("coh", forest, d, e_k)
+        _check_modulus(d)
+        grad = self.structure_grading(d, spin=False, e_k=e_k)
+        return self._product_table("coh", d, forest, [grad])
 
     def wrt_homology(self, forest: PlumbingForest, d: int,
                      e_k: int = 1) -> RefinedInvariantTable:
@@ -429,28 +440,41 @@ class Evaluator:
         (override releases the parity hypothesis for exploration only)."""
         return self._coset_table("spinc", forest, d, e_k, override)
 
-    def _graded_values(self, grad: Grading, forest: PlumbingForest,
+    def _graded_values(self, grads: list[Grading], forest: PlumbingForest,
                        points) -> list[CycloNumber]:
-        """Raw F(graded s) for every degree vector s in ``points``."""
-        colors = [self.graded_color(grad, u, 1) for u in range(grad.modulus)]
-        return [self.eval_weighted(forest, [colors[u] for u in s])
+        """Raw F(graded s) for every point s in ``points``.  A point is one
+        length-n degree vector per grading, concatenated; vertex v gets the
+        labels whose degree under grading j is s[j n + v] for every j,
+        weighted by qdim (with one grading, the graded color of s[v])."""
+        n = forest.n
+        zero = self.cat.field.zero
+        degrees = [tuple(g.degree[lam] for g in grads)
+                   for lam in range(self.cat.size)]
+        colors = {r: tuple(q if deg == r else zero
+                           for q, deg in zip(self.cat.qdim, degrees))
+                  for r in product(*(range(g.modulus) for g in grads))}
+        return [self.eval_weighted(forest, [colors[s[v::n]] for v in range(n)])
                 for s in points]
 
-    def _graded_table(self, kind: str, forest: PlumbingForest, d: int,
-                      e_k: int) -> RefinedInvariantTable:
-        """One graded-color evaluation per solution of L s = rhs mod d:
-        characteristic solutions (spin) or the kernel (coh)."""
-        _check_modulus(d)
-        spin = kind == "spin"
-        grad = self.structure_grading(d, spin=spin, e_k=e_k)
+    def _product_table(self, kind: str, modulus: int, forest: PlumbingForest,
+                       grads: list[Grading]) -> RefinedInvariantTable:
+        """One graded evaluation per point of the product of structure sets,
+        one set per grading of modulus g: the characteristic solutions of
+        L s = (g/2) diag(L) mod g when the generator has twist -1, the
+        kernel of L mod g otherwise.  Entries are keyed by the concatenated
+        vectors."""
         mat = forest.linking_matrix()
         sig = signature(mat)
-        solve = (structures.spin_solutions if spin
-                 else structures.cohomology_classes)
-        sols = solve(mat, d).solutions
-        raw = self._graded_values(grad, forest, sols)
+        minus_one = -self.cat.field.one
+        sets = [(structures.spin_solutions
+                 if self.cat.twist[g.generator] == minus_one
+                 else structures.cohomology_classes)(mat, g.modulus).solutions
+                for g in grads]
+        points = [sum(combo, ()) for combo in product(*sets)]
+        raw = self._graded_values(grads, forest, points)
         return RefinedInvariantTable(
-            kind, d, {s: self.normalize(v, sig) for s, v in zip(sols, raw)})
+            kind, modulus,
+            {s: self.normalize(v, sig) for s, v in zip(points, raw)})
 
     def _coset_table(self, kind: str, forest: PlumbingForest, d: int,
                      e_k: int, override: bool = False) -> RefinedInvariantTable:
@@ -494,7 +518,7 @@ class Evaluator:
         for _ in range(mod - 1):
             powers.append(powers[-1] * grad.e_d)
         sums = _character_sums(
-            self._graded_values(grad, forest, sols.points()), sols, powers)
+            self._graded_values([grad], forest, sols.points()), sols, powers)
         classes = (structures.chern_representatives if spinc
                    else structures.homology_representatives)(mat, d)
         # |classes| = |coker(L mod d)| = |ker(L mod d)|, L being square
@@ -526,10 +550,8 @@ class Evaluator:
         over the full product set equals the unrefined invariant.
         """
         group = self.group()
-        mat = forest.linking_matrix()
-        sig = signature(mat)
-        factors = []
         one = self.cat.field.one
+        grads = []
         for g in generators:
             if g not in group.elements:
                 raise RefinementError(f"label {g} is not invertible")
@@ -538,29 +560,8 @@ class Evaluator:
                 raise RefinementError(
                     f"generator {g} has nontrivial degree; the subgroup is "
                     "not refinable")
-            order = group.element_orders[g]
-            e_d = default_primitive_root(self.cat.field, order, e_k)
-            grad = grading(self.cat, group, g, e_d)
-            spin = self.cat.twist[g] == -self.cat.field.one
-            sets = (structures.spin_solutions(mat, order).solutions if spin
-                    else structures.cohomology_classes(mat, order).solutions)
-            factors.append((grad, order, spin, sets))
-        zero = self.cat.field.zero
-
-        def joint_weights(residues: tuple[int, ...]) -> tuple[CycloNumber, ...]:
-            return tuple(self.cat.qdim[lam]
-                         if all(f[0].degree[lam] == r
-                                for f, r in zip(factors, residues)) else zero
-                         for lam in range(self.cat.size))
-
-        entries = {}
-        for combo in product(*[f[3] for f in factors]):
-            weights = [joint_weights(tuple(vec[v] for vec in combo))
-                       for v in range(forest.n)]
-            raw = self.eval_weighted(forest, weights)
-            key = tuple(x for vec in combo for x in vec)
-            entries[key] = self.normalize(raw, sig)
-        return RefinedInvariantTable("kv", 0, entries)
+            grads.append(self._grading(g, e_k))
+        return self._product_table("kv", 0, forest, grads)
 
 
 def _character_sums(values: list[CycloNumber],

@@ -56,15 +56,16 @@ def as_matrix(rows) -> LinkingMatrix:
 # Smith normal form
 
 
-def smith_normal_form(mat, mod: int | None = None
+def smith_normal_form(mat, mod: int
                       ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """U, D, V with U @ mat @ V = D diagonal, U and V unimodular, and the
-    diagonal entries nonnegative with d_i | d_(i+1).
+    """U, D, V with U @ mat @ V = D (mod ``mod``), D diagonal with
+    d_i | d_(i+1), and U and V invertible mod ``mod``.
 
-    With ``mod``, every entry is kept reduced into [0, mod): U @ mat @ V = D
-    holds mod ``mod`` with U and V invertible mod ``mod``, which is all the
-    modular solvers use.  Over the integers U and V can grow to hundreds
-    of thousands of bits on 30-vertex trees; reduced, they cannot grow."""
+    Every entry is kept reduced into [0, mod), which is all the modular
+    solvers use.  Over the integers U and V can grow to hundreds of
+    thousands of bits on 30-vertex trees; reduced, they cannot grow."""
+    if mod < 1:
+        raise StructureError("modulus must be positive")
     a = [list(map(int, row)) for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
@@ -72,7 +73,7 @@ def smith_normal_form(mat, mod: int | None = None
     v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def reduce(row):
-        return [x % mod for x in row] if mod else row
+        return [x % mod for x in row]
 
     a, u, v = ([reduce(row) for row in x] for x in (a, u, v))
 
@@ -93,13 +94,7 @@ def smith_normal_form(mat, mod: int | None = None
 
     def add_col(i, j, c):
         for row in a + v:
-            row[i] += c * row[j]
-            if mod:
-                row[i] %= mod
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+            row[i] = (row[i] + c * row[j]) % mod
 
     t = 0
     while t < min(m, n):
@@ -107,8 +102,8 @@ def smith_normal_form(mat, mod: int | None = None
         best = None
         for i in range(t, m):
             for j in range(t, n):
-                if a[i][j] and (best is None or abs(a[i][j]) < best[0]):
-                    best = (abs(a[i][j]), i, j)
+                if a[i][j] and (best is None or a[i][j] < best[0]):
+                    best = (a[i][j], i, j)
         if best is None:
             break
         _, bi, bj = best
@@ -146,8 +141,6 @@ def smith_normal_form(mat, mod: int | None = None
             if offender is None:
                 break
             add_row(t, offender, 1)
-        if a[t][t] < 0:
-            negate_row(t)
         t += 1
     return u, a, v
 

@@ -16,6 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from itertools import product
 
 from . import structures
 from .category import check_axioms, kirby_color, refinable_structures
@@ -58,6 +59,17 @@ def _fail(report: Report, line: str, witness: dict) -> None:
     report.lines.append(line)
     if report.witness is None:
         report.witness = witness
+
+
+def _random_symmetric(rng, n: int, bound: int, off) -> list[list[int]]:
+    """A symmetric n x n matrix: diagonal in [-bound, bound], each entry
+    above it drawn from ``off``, row by row."""
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        mat[i][i] = rng.randint(-bound, bound)
+        for j in range(i + 1, n):
+            mat[i][j] = mat[j][i] = rng.choice(off)
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +179,11 @@ def verify_sum(seed: int = 7, size: int = 50, max_vertices: int = 8,
     manifolds = corpus(seed, size, max_vertices)
     for cat, kind, d in _refinement_jobs(category):
         ev = Evaluator(cat)
+        refined = ev.wrt_spin if kind == "spin" else ev.wrt_cohomology
         checked = 0
         for name, f in manifolds:
             w = ev.wrt(f)
-            table = (ev.wrt_spin(f, d) if kind == "spin"
-                     else ev.wrt_cohomology(f, d))
+            table = refined(f, d)
             if not table.entries:
                 _fail(rep, f"{cat.name}/{name}: empty structure set",
                       {"category": cat.name, "manifold": name})
@@ -201,11 +213,11 @@ def verify_kirby(seed: int = 7, sequences: int = 200, moves_per_seq: int = 6,
         base.append((f"random_{k}", random_forest(rng, max_vertices=5)))
     for cat, kind, d in _refinement_jobs(category):
         ev = Evaluator(cat)
+        refined = ev.wrt_spin if kind == "spin" else ev.wrt_cohomology
         total = 0
         for name, f0 in base:
             w0 = ev.wrt(f0).exact
-            table0 = (ev.wrt_spin(f0, d) if kind == "spin"
-                      else ev.wrt_cohomology(f0, d)).multiset()
+            table0 = refined(f0, d).multiset()
             for _ in range(sequences):
                 _, f1 = random_move_sequence(
                     rng, f0, rng.randint(1, moves_per_seq))
@@ -214,8 +226,7 @@ def verify_kirby(seed: int = 7, sequences: int = 200, moves_per_seq: int = 6,
                           {"category": cat.name, "manifold": name,
                            "forest": (f1.framings, f1.edges)})
                     break
-                table1 = (ev.wrt_spin(f1, d) if kind == "spin"
-                          else ev.wrt_cohomology(f1, d)).multiset()
+                table1 = refined(f1, d).multiset()
                 if table1 != table0:
                     _fail(rep, f"{cat.name}/{name}: refined multiset changed",
                           {"category": cat.name, "manifold": name,
@@ -262,12 +273,7 @@ def verify_oracle(seed: int = 7, instances: int = 200) -> Report:
     for k in range(instances):
         n = rng.randint(1, 4)
         d = rng.choice([2, 2, 3, 4, 4, 5, 6, 8])
-        mat = [[0] * n for _ in range(n)]
-        for i in range(n):
-            mat[i][i] = rng.randint(-5, 5)
-            for j in range(i + 1, n):
-                v = rng.choice([0, 0, 0, 1, -1])
-                mat[i][j] = mat[j][i] = v
+        mat = _random_symmetric(rng, n, 5, (0, 0, 0, 1, -1))
         m = as_matrix(mat)
         ok = (structures.cohomology_classes(m, d).solutions
               == structures.brute_cohomology_classes(m, d))
@@ -297,12 +303,7 @@ def verify_bijection(seed: int = 7, instances: int = 100) -> Report:
     for k in range(instances):
         n = rng.randint(1, 4)
         d = rng.choice([2, 3, 4])
-        mat = [[0] * n for _ in range(n)]
-        for i in range(n):
-            mat[i][i] = rng.randint(-5, 5)
-            for j in range(i + 1, n):
-                v = rng.choice([0, 0, 1, -1])
-                mat[i][j] = mat[j][i] = v
+        mat = _random_symmetric(rng, n, 5, (0, 0, 1, -1))
         m = as_matrix(mat)
         chern = structures.chern_vectors(m, d)
         coker = structures.coker_count(m, d)
@@ -369,10 +370,9 @@ def verify_moo() -> Report:
         xi = make_root(xi_ord, 1)
         sig = signature(mat)
         params = MooParams(m=m, xi=xi, delta=delta, alpha=alpha)
-        from itertools import product as iproduct
         total = None
         denoms = None
-        for klass in iproduct(range(delta), repeat=len(mat)):
+        for klass in product(range(delta), repeat=len(mat)):
             val = moo_refined(mat, params, klass, sig)
             denoms = (val.denom_plus, val.denom_minus)
             total = val.exact if total is None else total + val.exact
@@ -451,12 +451,7 @@ def verify_spinc(seed: int = 7, search_alphas=(1, 2), search_rs=(4, 5, 6, 8),
     for k in range(40):
         n = rng.randint(1, 3)
         d = rng.choice([2, 4])
-        mat = [[0] * n for _ in range(n)]
-        for i in range(n):
-            mat[i][i] = rng.randint(-4, 4)
-            for j in range(i + 1, n):
-                v = rng.choice([0, 0, 1, -1])
-                mat[i][j] = mat[j][i] = v
+        mat = _random_symmetric(rng, n, 4, (0, 0, 1, -1))
         m = as_matrix(mat)
         chern = structures.chern_vectors(m, d)
         two_d = 2 * d

@@ -178,6 +178,20 @@ def test_invertibles_abelian_is_everything():
     assert group.element_orders[1] == 5
 
 
+@pytest.mark.parametrize("a,b,c", [(0, 0, None), (2, 1, 2)])
+def test_invertibles_reject_corrupt_fusion(a, b, c):
+    # (0, 0): the unit has no channel 0 (x) 0 -> 0; (2, 1): a
+    # non-commutative table in which the powers 1, 2, 2, ... of label 1
+    # never reach the unit
+    cat = abelian_category(4, make_root(8, 1))
+    fusion = [[list(row) for row in plane] for plane in cat.fusion]
+    fusion[a][b] = [int(x == c) for x in range(cat.size)]
+    broken = type(cat)(cat.name, cat.field, cat.labels, cat.dual, cat.qdim,
+                       cat.twist, cat.smat, fusion)
+    with pytest.raises(MalformedCategoryError):
+        invertibles(broken)
+
+
 def test_invertibles_of_product_is_klein_group():
     cat = product_category(sl2_category(4), sl2_category(6))
     group = invertibles(cat)

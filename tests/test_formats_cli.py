@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinmod import formats
 from spinmod.cli import main
@@ -226,6 +228,89 @@ def test_cli_malformed_category_or_matrix_exits_2(case, tmp_path):
     assert "Traceback" not in proc.stderr
     errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
     assert len(errors) == 1
+
+
+def test_cli_refine_on_a_category_without_unit_exits_2(tmp_path):
+    # found by the fuzz test below: the refinement path met the missing
+    # unit channel as a KeyError deep inside the subgroup search
+    cat_file = tmp_path / "no_unit.cat"
+    cat_file.write_text(SL2_4_TEXT.replace("fusion 0 0 0 1\n", ""))
+    forest_file = tmp_path / "m.forest"
+    forest_file.write_text("vertex 0 framing 1\n")
+    rc, err = run_cli_err("invariant", "--category", str(cat_file),
+                          "--manifold", str(forest_file), "--refine", "spin")
+    assert rc == 2
+    assert err == ["error: the unit label 0 is not invertible"]
+
+
+FUZZ_TOKENS = st.sampled_from(["0", "1", "-1", "2", "3", "4", "7", "12", "16",
+                               "97", "1/2", "1/0", "x", "", "framing", "+1"])
+
+
+@st.composite
+def mutated_text(draw, text):
+    """``text`` with one to three line edits: drop, duplicate or truncate a
+    line, or put a token in place of (or after) one of its words."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "dup", "cut", "token"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, lines[i])
+        elif op == "cut":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        else:
+            words = lines[i].split()
+            j = draw(st.integers(0, len(words)))
+            words[j:j + 1] = [draw(FUZZ_TOKENS)]
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+FOREST_TEXT = formats.forest_to_text(
+    forest([2, -1, 3, 0], [(0, 1, 1), (1, 2, -1), (1, 3, 1)]))
+MATRIX_ENTRIES = st.one_of(st.integers(-3, 3), st.booleans(),
+                           st.floats(allow_nan=False), st.text(max_size=2))
+FUZZ_MATRICES = st.one_of(
+    mutated_text("[[2, 1, 0],\n [1, -2, 1],\n [0, 1, 3]]"),
+    st.lists(st.lists(MATRIX_ENTRIES, max_size=3), max_size=3).map(json.dumps))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cli_fuzzed_inputs_keep_the_exit_code_contract(data):
+    # exit 0 or 1 for well-formed input, 2 with exactly one error line for
+    # malformed input, and never an escaping exception
+    command = data.draw(st.sampled_from(["category", "invariant", "structures"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        cat_file = Path(tmp) / "fuzz.cat"
+        cat_file.write_text(data.draw(st.one_of(
+            st.just(SL2_4_TEXT), mutated_text(SL2_4_TEXT))))
+        forest_file = Path(tmp) / "fuzz.forest"
+        forest_file.write_text(data.draw(st.one_of(
+            st.just(FOREST_TEXT), mutated_text(FOREST_TEXT))))
+        d = str(data.draw(st.integers(-1, 4)))
+        if command == "category":
+            argv = ["category", "check", str(cat_file)]
+        elif command == "invariant":
+            argv = ["invariant", "--category", str(cat_file),
+                    "--manifold", str(forest_file), "--d", d]
+            refine = data.draw(st.sampled_from(
+                [None, "spin", "coh", "hom", "spinc"]))
+            if refine:
+                argv += ["--refine", refine]
+        else:
+            kind = data.draw(st.sampled_from(["spin", "coh", "chern", "hom"]))
+            argv = ["structures", kind, "--matrix",
+                    data.draw(FUZZ_MATRICES), "--d", d]
+        rc, err = run_cli_err(*argv)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert len([ln for ln in err if ln.startswith("error:")]) == 1
 
 
 @pytest.mark.parametrize("refine", ["coh", "hom"])

@@ -10,7 +10,7 @@ import pytest
 
 from spinmod.category import kirby_color
 from spinmod.constructions import abelian_category, sl2_category
-from spinmod.corpus import e8_forest, random_forest
+from spinmod.corpus import corpus, e8_forest, random_forest
 from spinmod.cyclo import cyclo_field, make_root
 from spinmod import invariants, structures
 from spinmod.invariants import (Evaluator, InvariantError, MooError,
@@ -429,6 +429,27 @@ def test_generalized_spin_validates_generators(ev8):
     with pytest.raises(RefinementError):
         # generator of nontrivial degree: subgroup not refinable
         ev5.wrt_generalized_spin(forest([1]), [3])
+
+
+def test_generalized_spin_rejects_non_primitive_root_convention(ev8):
+    g = ev8.find_structure(2, True).generator
+    with pytest.raises(RefinementError):
+        ev8.wrt_generalized_spin(forest([1]), [g], e_k=2)
+
+
+@pytest.mark.parametrize("r,spin,refined", [(8, True, "wrt_spin"),
+                                            (6, False, "wrt_cohomology"),
+                                            (12, True, "wrt_spin")])
+def test_one_generator_refinement_is_the_spin_or_coh_table(r, spin, refined):
+    # a spin or coh table is the product refinement with one generator:
+    # same keys, values and order, only the kind/modulus labels differ
+    ev = Evaluator(sl2_category(r))
+    g = ev.find_structure(2, spin).generator
+    for _, f in corpus(7, 30, 6):
+        kv = ev.wrt_generalized_spin(f, [g])
+        table = getattr(ev, refined)(f, 2)
+        assert (kv.kind, kv.modulus) == ("kv", 0)
+        assert list(kv.entries.items()) == list(table.entries.items())
 
 
 def test_leaf_cache_distinguishes_root_conventions():
