@@ -253,8 +253,17 @@ def run(spec: JobSpec) -> int:
     return handler(spec)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become an `InputError`, so they exit 2 with the same
+    one-line message as any other bad input; ``-h`` still prints usage.
+    Subparsers inherit the class."""
+
+    def error(self, message):
+        raise InputError(" ".join(message.split()))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinmod",
         description="Exact refined quantum invariants of plumbed 3-manifolds")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -290,8 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=sorted(verify.ALL_SUITES) + ["all"])
+    # a string default goes through type=int, so a bad SPINMOD_SEED is a
+    # usage error like a bad --seed
     p_ver.add_argument("--seed", type=int,
-                       default=int(os.environ.get("SPINMOD_SEED", "7")))
+                       default=os.environ.get("SPINMOD_SEED", "7"))
     p_ver.add_argument("--corpus-size", type=int, default=50)
     p_ver.add_argument("--sequences", type=int, default=200)
     p_ver.add_argument("--category",
@@ -333,10 +344,8 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return run(job_from_args(args))
+        return run(job_from_args(build_parser().parse_args(argv)))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

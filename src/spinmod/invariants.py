@@ -621,15 +621,64 @@ def _root_order(xi: CycloNumber, bound: int) -> int:
     raise MooError(f"xi is not a root of unity of order <= {bound}")
 
 
-def _check_enumeration_budget(base: int, n: int) -> None:
-    if base ** n > structures.ENUMERATION_LIMIT:
+def _check_enumeration_budget(mat, values, bound: int):
+    """Refuse an oversized Gauss sum before any work; otherwise return the
+    plan `_quadratic_sum` runs: the `_forest_order` of `mat`, or None for
+    the dense loop.
+
+    The dense loop is charged prod |values[v]| vectors, the forest pass
+    n * base^2 * bound with base = max |values[v]| (about the integer work
+    of folding each vertex into its parent, for any number of edges).  A
+    forest takes the cheaper of the two, so it never refuses a sum the
+    dense loop would run; a matrix with a cycle is always dense."""
+    n = len(mat)
+    base = max(map(len, values), default=0)
+    dense = math.prod(map(len, values))
+    tree = _forest_order(mat)
+    if tree is not None and n * base * base * bound < dense:
+        if n * base * base * bound > structures.ENUMERATION_LIMIT:
+            raise MooError(f"Gauss sum on a forest of {n} vertices with "
+                           f"{base} values and {bound} residues each "
+                           "exceeds size limit")
+        return tree
+    if dense > structures.ENUMERATION_LIMIT:
         raise MooError(f"Gauss sum over {base}^{n} vectors exceeds size limit")
+    return None
 
 
-def _quadratic_sum(mat, vectors, xi: CycloNumber, order: int) -> CycloNumber:
+def _forest_order(mat) -> tuple[list[int], list[int]] | None:
+    """Parent array (-1 at roots) and a leaves-first vertex order of the
+    off-diagonal support of `mat` (i ~ j iff mat[i][j] or mat[j][i] is
+    nonzero), or None when the support has a cycle."""
+    n = len(mat)
+    parent = [-1] * n
+    seen = [False] * n
+    preorder = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            preorder.append(v)
+            for u in range(n):
+                if u == v or u == parent[v] or not (mat[v][u] or mat[u][v]):
+                    continue
+                if seen[u]:
+                    return None
+                seen[u] = True
+                parent[u] = v
+                stack.append(u)
+    preorder.reverse()
+    return parent, preorder
+
+
+def _dense_counts(mat, values, order: int) -> dict[int, int]:
+    """Histogram {l L l mod order: count} over every l in prod values."""
     n = len(mat)
     counts: dict[int, int] = {}
-    for vec in vectors:
+    for vec in product(*values):
         row_tot = 0
         for i in range(n):
             vi = vec[i]
@@ -641,6 +690,60 @@ def _quadratic_sum(mat, vectors, xi: CycloNumber, order: int) -> CycloNumber:
                 row_tot += vi * acc
         e = row_tot % order
         counts[e] = counts.get(e, 0) + 1
+    return counts
+
+
+def _convolve(a: dict[int, int], b: dict[int, int], order: int
+              ) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = (ea + eb) % order
+            out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def _forest_counts(mat, values, order: int, tree) -> dict[int, int]:
+    """The histogram of `_dense_counts`, by one leaves-to-root pass.
+
+    On a forest, l L l = sum_v f_v l_v^2 + sum_(edges p-c) (L_pc + L_cp)
+    l_p l_c.  Vertex v keeps, for each of its values, the residue
+    histogram of its subtree; a finished child is folded into its parent
+    with the edge term, and the roots' histograms are convolved."""
+    parent, leaves_first = tree
+    hist = [[{mat[v][v] * x * x % order: 1} for x in values[v]]
+            for v in range(len(mat))]
+    total = {0: 1}
+    for c in leaves_first:
+        p = parent[c]
+        if p < 0:
+            root: dict[int, int] = {}
+            for h in hist[c]:
+                for e, k in h.items():
+                    root[e] = root.get(e, 0) + k
+            total = _convolve(total, root, order)
+            continue
+        w = mat[p][c] + mat[c][p]
+        for i, xp in enumerate(values[p]):
+            msg: dict[int, int] = {}
+            for xc, h in zip(values[c], hist[c]):
+                shift = w * xp * xc
+                for e, k in h.items():
+                    e = (e + shift) % order
+                    msg[e] = msg.get(e, 0) + k
+            hist[p][i] = _convolve(hist[p][i], msg, order)
+    return total
+
+
+def _quadratic_sum(mat, values, xi: CycloNumber, order: int,
+                   tree) -> CycloNumber:
+    """sum over l in prod values of xi^(l L l), with xi of order `order`.
+
+    The exponents are counted in integers, by `_forest_counts` when `tree`
+    (from `_check_enumeration_budget`) is a forest plan and by the dense
+    loop otherwise; the only cyclotomic arithmetic is sum counts[e] xi^e."""
+    counts = (_dense_counts(mat, values, order) if tree is None
+              else _forest_counts(mat, values, order, tree))
     pows = [xi.field.one]
     for _ in range(order - 1):
         pows.append(pows[-1] * xi)
@@ -653,18 +756,24 @@ def _quadratic_sum(mat, vectors, xi: CycloNumber, order: int) -> CycloNumber:
 def moo(mat: structures.LinkingMatrix, m: int, xi: CycloNumber,
         sig: SignaturePair | None = None) -> InvariantValue:
     """Gauss-sum invariant: sum over (Z_m)^n of xi^(l L l), divided by the
-    one-variable Gauss sum g and its conjugate to the signature powers."""
+    one-variable Gauss sum g and its conjugate to the signature powers.
+
+    When the off-diagonal support of L is a forest, l L l = sum_v f_v l_v^2
+    + sum_(edges p-c) (L_pc + L_cp) l_p l_c, and the sum is counted by one
+    integer pass over the forest in about n m^2 order operations instead
+    of m^n (`_quadratic_sum`)."""
     if m < 1:
         raise MooError("m must be positive")
     n = len(mat)
-    _check_enumeration_budget(m, n)
+    values = [range(m)] * n
     bound = m if m % 2 else 2 * m
+    tree = _check_enumeration_budget(mat, values, bound)
     if not (xi ** bound).is_one():
         raise MooError(f"xi^{bound} != 1: wrong root order for modulus {m}")
     order = _root_order(xi, bound)
     if sig is None:
         sig = signature(mat)
-    total = _quadratic_sum(mat, product(range(m), repeat=n), xi, order)
+    total = _quadratic_sum(mat, values, xi, order, tree)
     g = gauss_sum(m, xi)
     gbar = g.conj()
     if g.is_zero() or gbar.is_zero():
@@ -682,29 +791,28 @@ def moo_refined(mat: structures.LinkingMatrix, params: MooParams,
                 sig: SignaturePair | None = None) -> InvariantValue:
     """Refined Gauss-sum invariant over gamma = klass (mod delta), with
     gamma ranging over Z_(alpha delta m); the normalizing Gauss sum runs
-    over the residue delta/2 (spin type) or 0 (cohomological type)."""
+    over the residue delta/2 (spin type) or 0 (cohomological type).
+
+    Vertex v runs over range(klass_v, klass_v + alpha delta m, delta), and
+    on a forest the sum of xi^(gamma L gamma) is counted by the same
+    integer pass as `moo`, from the same identity gamma L gamma =
+    sum_v f_v gamma_v^2 + sum_(edges p-c) (L_pc + L_cp) gamma_p gamma_c."""
     m, xi, delta, alpha = params.m, params.xi, params.delta, params.alpha
     if m < 1 or delta < 1 or alpha < 1:
         raise MooError("m, delta, alpha must be positive")
     n = len(mat)
-    _check_enumeration_budget(alpha * m, n)
+    if len(klass) != n:
+        raise MooError("congruence class has wrong length")
     big = alpha * delta * m
+    values = [range(c % delta, c % delta + big, delta) for c in klass]
     bound = big if (delta * m) % 2 else 2 * big
+    tree = _check_enumeration_budget(mat, values, bound)
     if not (xi ** bound).is_one():
         raise MooError(f"xi^{bound} != 1: wrong root order for range Z_{big}")
     order = _root_order(xi, bound)
-    if len(klass) != n:
-        raise MooError("congruence class has wrong length")
-    klass = tuple(c % delta for c in klass)
     if sig is None:
         sig = signature(mat)
-    steps = big // delta
-
-    def gammas():
-        for x in product(range(steps), repeat=n):
-            yield tuple(klass[i] + delta * x[i] for i in range(n))
-
-    total = _quadratic_sum(mat, gammas(), xi, order)
+    total = _quadratic_sum(mat, values, xi, order, tree)
     g_res = params.g_residue
     if g_res is None:
         g_res = delta // 2 if delta % 2 == 0 else 0

@@ -164,18 +164,23 @@ class GeneratedCoset:
         return math.prod(self.orders)
 
     def points(self) -> list[tuple[int, ...]]:
-        """Every point, in lexicographic order of k; refused over budget."""
+        """Every point, in lexicographic order of k; refused over budget.
+
+        Built one generator at a time: each point p so far is followed by
+        p + g, p + 2g, ... (mod modulus), one vector addition per point."""
         if self.count > ENUMERATION_LIMIT:
             raise StructureError(f"enumeration of {self.count} vectors "
                                  "exceeds size limit")
-        out = []
-        for ks in product(*[range(g) for g in self.orders]):
-            vec = list(self.offset)
-            for k, gen in zip(ks, self.gens):
-                if k:
-                    for r, x in enumerate(gen):
-                        vec[r] += k * x
-            out.append(tuple(x % self.modulus for x in vec))
+        d = self.modulus
+        out = [tuple(x % d for x in self.offset)]
+        for gen, order in zip(self.gens, self.orders):
+            walked = []
+            for cur in out:
+                walked.append(cur)
+                for _ in range(order - 1):
+                    cur = tuple((x + y) % d for x, y in zip(cur, gen))
+                    walked.append(cur)
+            out = walked
         return out
 
 

@@ -313,6 +313,74 @@ def test_cli_fuzzed_inputs_keep_the_exit_code_contract(data):
         assert len([ln for ln in err if ln.startswith("error:")]) == 1
 
 
+def valid_argvs(forest_file):
+    return [
+        ["category", "check", "builtin:sl2:5", "--format", "json"],
+        ["manifold", "show", forest_file, "--format", "json"],
+        ["structures", "coh", "--matrix", "[[2, 1], [1, 2]]", "--d", "3"],
+        ["invariant", "--category", "builtin:sl2:8", "--manifold",
+         forest_file, "--refine", "spin", "--d", "2"],
+        ["verify", "moo", "--seed", "3"],
+        ["verify", "bijection", "--corpus-size", "2", "--sequences", "1"],
+    ]
+
+
+# no prefix of --help among them: -h prints usage and exits 0 by design
+UNKNOWN_FLAGS = st.sampled_from(["--bogus", "-q", "--d=", "--format=xml",
+                                 "--seed=", "---", "-"])
+NON_INTEGERS = st.sampled_from(["x", "1.5", "", "0x2", "two", "1e3", " 3"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cli_fuzzed_argv_keeps_the_exit_code_contract(data):
+    # valid argv lists with tokens dropped, duplicated or swapped, unknown
+    # flags added and option values made non-integer: exit 0, 1 or 2, one
+    # error line with 2, never an escaping exception (argparse's own
+    # usage errors included)
+    with tempfile.TemporaryDirectory() as tmp:
+        forest_file = Path(tmp) / "m.forest"
+        forest_file.write_text(FOREST_TEXT)
+        argv = list(data.draw(st.sampled_from(valid_argvs(str(forest_file)))))
+        for _ in range(data.draw(st.integers(1, 3))):
+            op = data.draw(st.sampled_from(
+                ["drop", "dup", "swap", "flag", "value"]))
+            if not argv and op != "flag":
+                continue
+            i = data.draw(st.integers(0, max(len(argv) - 1, 0)))
+            if op == "drop":
+                del argv[i]
+            elif op == "dup":
+                argv.insert(i, argv[i])
+            elif op == "swap":
+                j = data.draw(st.integers(0, len(argv) - 1))
+                argv[i], argv[j] = argv[j], argv[i]
+            elif op == "flag":
+                argv.insert(i, data.draw(UNKNOWN_FLAGS))
+            else:
+                options = [k for k in range(1, len(argv))
+                           if argv[k - 1].startswith("--")] or [i]
+                argv[data.draw(st.sampled_from(options))] = \
+                    data.draw(NON_INTEGERS)
+        rc, err = run_cli_err(*argv)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert len([ln for ln in err if ln.startswith("error:")]) == 1
+
+
+def test_cli_usage_errors_are_one_line(monkeypatch):
+    for argv in (("invariant", "--d", "x"), ("bogus",), ()):
+        rc, err = run_cli_err(*argv)
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+    monkeypatch.setenv("SPINMOD_SEED", "x")
+    assert run_cli_err("verify", "moo") == \
+        (2, ["error: argument --seed: invalid int value: 'x'"])
+    monkeypatch.setenv("SPINMOD_SEED", "11")
+    assert run_cli("verify", "bijection") == \
+        run_cli("verify", "bijection", "--seed", "11")
+
+
 @pytest.mark.parametrize("refine", ["coh", "hom"])
 def test_cli_oversized_structure_set_exits_2_before_enumerating(refine,
                                                                 tmp_path):

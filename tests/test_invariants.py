@@ -5,6 +5,7 @@ decomposition formula."""
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -314,6 +315,119 @@ def test_moo_refuses_over_budget_before_enumerating(monkeypatch):
         moo(mat, m, xi)
     with pytest.raises(MooError, match="exceeds size limit"):
         moo_refined(mat, MooParams(1, xi, alpha=m), (0, 0))
+
+
+def _unexpected_path(*args):
+    raise AssertionError("this path should not run")
+
+
+def random_forest_matrix(rng, n):
+    """A linking-type matrix whose off-diagonal support is a random forest
+    on shuffled vertices: framings in [-3, 3], some vertices isolated,
+    edge weights of both signs with |w| up to 3, and now and then split
+    unevenly between L_pc and L_cp (a non-symmetric input)."""
+    mat = [[0] * n for _ in range(n)]
+    label = list(range(n))
+    rng.shuffle(label)
+    for v in range(n):
+        mat[label[v]][label[v]] = rng.randint(-3, 3)
+        if v and rng.random() < 0.8:
+            p, c = label[rng.randrange(v)], label[v]
+            w = rng.choice([-3, -2, -1, 1, 2, 3])
+            if rng.random() < 0.25:
+                mat[p][c], mat[c][p] = w, rng.randint(-3, 3)
+            else:
+                mat[p][c] = mat[c][p] = w
+    return tuple(map(tuple, mat))
+
+
+def test_forest_counts_match_the_dense_loop():
+    # the dense loop is the oracle for the forest pass, plain and refined
+    rng = random.Random(8)
+    assert invariants._forest_order(()) == ([], [])
+    for n in range(9):
+        for _ in range(6):
+            mat = random_forest_matrix(rng, n)
+            tree = invariants._forest_order(mat)
+            assert tree is not None
+            m, order = rng.choice([(m, o) for m, o in
+                                   ((2, 4), (3, 3), (3, 6), (4, 8), (5, 5))
+                                   if m ** n <= 7000])
+            values = [range(m)] * n
+            assert invariants._forest_counts(mat, values, order, tree) \
+                == invariants._dense_counts(mat, values, order)
+    for n in range(4):
+        mat = random_forest_matrix(rng, n)
+        tree = invariants._forest_order(mat)
+        for m, delta, alpha in product((1, 2), (1, 2, 3), (1, 2)):
+            big = alpha * delta * m
+            order = big if (delta * m) % 2 else 2 * big
+            for klass in product(range(delta), repeat=n):
+                values = [range(c, c + big, delta) for c in klass]
+                assert invariants._forest_counts(mat, values, order, tree) \
+                    == invariants._dense_counts(mat, values, order)
+    for _, f in corpus(7, 50):
+        mat = f.linking_matrix()
+        tree = invariants._forest_order(mat)
+        for values, order in (([range(2)] * f.n, 4),
+                              ([range(c, c + 4, 2) for c in
+                                rng.choices((0, 1), k=f.n)], 8)):
+            assert invariants._forest_counts(mat, values, order, tree) \
+                == invariants._dense_counts(mat, values, order)
+
+
+def test_moo_of_the_empty_matrix_is_one():
+    xi = make_root(3, 1)
+    assert moo(as_matrix([]), 3, xi).exact.is_one()
+    assert moo_refined(as_matrix([]), MooParams(3, xi), ()).exact.is_one()
+
+
+def test_moo_on_30_vertex_trees_matches_the_pointed_category(monkeypatch):
+    # m^30 vectors were over the dense budget; the forest pass is checked
+    # against the tree evaluator over the pointed category Z_m
+    monkeypatch.setattr(invariants, "_dense_counts", _unexpected_path)
+    rng = random.Random(30)
+    for m, xi in ((3, make_root(3, 1)), (4, make_root(8, 1)),
+                  (5, make_root(5, 2))):
+        f = forest([rng.randint(-5, 5) for _ in range(30)],
+                   [((v - 1) // 2, v, rng.choice((1, -1)))
+                    for v in range(1, 30)])
+        mat = f.linking_matrix()
+        value = moo(mat, m, xi).exact
+        assert value == Evaluator(abelian_category(m, xi)).wrt(f).exact
+        assert moo_refined(mat, MooParams(m, xi), (0,) * 30).exact == value
+
+
+def test_moo_with_a_cycle_takes_the_dense_loop(monkeypatch):
+    calls = []
+    dense = invariants._dense_counts
+
+    def spy(*args):
+        calls.append(args)
+        return dense(*args)
+
+    monkeypatch.setattr(invariants, "_dense_counts", spy)
+    monkeypatch.setattr(invariants, "_forest_counts", _unexpected_path)
+    # a 4-cycle 0-1-2-3 with a pendant vertex 4
+    mat = as_matrix([[1, 1, 0, -2, 0], [1, 0, 1, 0, 0], [0, 1, 2, 1, 1],
+                     [-2, 0, 1, -1, 0], [0, 0, 1, 0, 3]])
+    assert invariants._forest_order(mat) is None
+    xi = make_root(3, 1)
+    moo(mat, 3, xi)
+    moo_refined(mat, MooParams(1, make_root(4, 1), delta=2), (0, 1, 0, 1, 1))
+    assert len(calls) == 2
+
+
+def test_moo_refuses_over_budget_before_enumerating_on_any_shape(
+        monkeypatch):
+    monkeypatch.setattr(invariants, "_quadratic_sum", _unexpected_path)
+    triangle = as_matrix([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+    assert invariants._forest_order(triangle) is None
+    with pytest.raises(MooError, match="exceeds size limit"):
+        moo(triangle, 257, make_root(3, 1))
+    # a forest is charged n * m^2 * bound: 30 * 211^3 is over budget too
+    with pytest.raises(MooError, match="forest of 30 vertices .* exceeds"):
+        moo(chain([2] * 30).linking_matrix(), 211, make_root(3, 1))
 
 
 def test_pointed_category_invariant_equals_moo():

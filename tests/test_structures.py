@@ -8,7 +8,8 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinmod.structures import (StructureError, as_matrix,
+from spinmod.structures import (ENUMERATION_LIMIT, GeneratedCoset,
+                                StructureError, as_matrix,
                                 brute_chern_vectors,
                                 brute_cohomology_classes,
                                 brute_homology_classes, brute_spin_solutions,
@@ -216,6 +217,45 @@ def test_solution_enumeration_refuses_before_walking():
             chain[i][i - 1] = chain[i - 1][i] = 1
     chain = as_matrix(chain)
     assert len(homology_representatives(chain, 2)) == coker_count(chain, 2)
+
+
+@st.composite
+def generated_cosets(draw):
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 4))
+    vec = st.lists(st.integers(-8, 8), min_size=n, max_size=n).map(tuple)
+    gens = draw(st.lists(vec, max_size=3))
+    orders = draw(st.lists(st.integers(1, 4), min_size=len(gens),
+                           max_size=len(gens)))
+    return GeneratedCoset(d, draw(vec), tuple(gens), tuple(orders))
+
+
+def product_points(coset):
+    """The reference walk: one point per k in product(range(order)),
+    summed from scratch."""
+    out = []
+    for ks in product(*[range(g) for g in coset.orders]):
+        vec = list(coset.offset)
+        for k, gen in zip(ks, coset.gens):
+            vec = [x + k * y for x, y in zip(vec, gen)]
+        out.append(tuple(x % coset.modulus for x in vec))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(generated_cosets())
+def test_generated_coset_points_match_the_product_walk(coset):
+    # same points in the same order; the generators need not be
+    # independent here, so repeats must survive too
+    assert coset.points() == product_points(coset)
+
+
+def test_generated_coset_refuses_before_walking():
+    gens = tuple(tuple(int(i == j) for j in range(25)) for i in range(25))
+    coset = GeneratedCoset(2, (0,) * 25, gens, (2,) * 25)
+    assert coset.count > ENUMERATION_LIMIT
+    with pytest.raises(StructureError, match="exceeds size limit"):
+        coset.points()
 
 
 @st.composite
