@@ -80,6 +80,8 @@ class CategoryData:
             for v in seq:
                 if v.field is not self.field:
                     raise MalformedCategoryError(f"{what} entry in wrong field")
+        if any(v.is_zero() for v in self.twist):
+            raise MalformedCategoryError("twists must be nonzero")
         if len(self.smat) != n or any(len(row) != n for row in self.smat):
             raise MalformedCategoryError("smat is not square of the right size")
         if (len(self.fusion) != n
@@ -101,9 +103,6 @@ class CategoryData:
             chans = tuple((c, m) for c, m in enumerate(self.fusion[a][b]) if m)
             self._channels[key] = chans
         return chans
-
-    def label_names(self) -> tuple[str, ...]:
-        return tuple(lab.name for lab in self.labels)
 
     def __repr__(self) -> str:
         return f"CategoryData({self.name!r}, |labels|={self.size}, N={self.field.order})"
@@ -343,7 +342,6 @@ class InvertibleGroup:
     order: int
     element_orders: dict[int, int]
     generator: int | None
-    inverse: dict[int, int]
 
     def power(self, g: int, k: int) -> int:
         k %= self.element_orders[g]
@@ -389,28 +387,29 @@ def invertibles(cat: CategoryData) -> InvertibleGroup:
         if orders[g] == len(elems):
             generator = g
             break
-    inverse = {g: cat.dual[g] for g in elems}
     return InvertibleGroup(
         elements=tuple(elems),
         table=table,
         order=len(elems),
         element_orders=orders,
         generator=generator,
-        inverse=inverse,
     )
 
 
 def character_value(cat: CategoryData, lam: int, g: int,
                     _inv_cache: dict | None = None) -> CycloNumber:
-    """Monodromy character chi_lam(g) = smat[lam][g] / (qdim(lam) qdim(g))."""
+    """Monodromy character chi_lam(g) = smat[lam][g] / (qdim(lam) qdim(g)).
+
+    Raises GradingError when qdim(lam) qdim(g) = 0 (corrupt data)."""
     denom = cat.qdim[lam] * cat.qdim[g]
-    if _inv_cache is not None:
-        inv = _inv_cache.get(denom)
-        if inv is None:
-            inv = denom.invert()
-            _inv_cache[denom] = inv
-    else:
+    inv = None if _inv_cache is None else _inv_cache.get(denom)
+    if inv is None:
+        if denom.is_zero():
+            zero = lam if cat.qdim[lam].is_zero() else g
+            raise GradingError(f"qdim of label {zero} is zero (corrupt data)")
         inv = denom.invert()
+        if _inv_cache is not None:
+            _inv_cache[denom] = inv
     return cat.smat[lam][g] * inv
 
 
@@ -435,7 +434,6 @@ class Grading:
     generator: int
     e_d: CycloNumber
     degree: tuple[int, ...]
-    character_table: dict[tuple[int, int], CycloNumber]
 
 
 def default_primitive_root(field: CycloField, d: int, k: int = 1) -> CycloNumber:
@@ -481,20 +479,7 @@ def grading(cat: CategoryData, group: InvertibleGroup,
             raise GradingError(
                 f"character of label {lam} is not a power of e_d (corrupt data)")
         degree.append(k)
-    subgroup = _cyclic_elements(group, t)
-    chars = {(lam, g): character_value(cat, lam, g, cache)
-             for lam in range(cat.size) for g in subgroup}
-    return Grading(modulus=d, generator=t, e_d=e_d, degree=tuple(degree),
-                   character_table=chars)
-
-
-def _cyclic_elements(group: InvertibleGroup, t: int) -> tuple[int, ...]:
-    elems = [0]
-    cur = t
-    while cur != 0:
-        elems.append(cur)
-        cur = group.table[(cur, t)]
-    return tuple(elems)
+    return Grading(modulus=d, generator=t, e_d=e_d, degree=tuple(degree))
 
 
 @dataclass
@@ -510,7 +495,6 @@ class RefinableStructure:
     order: int
     generator: int | None
     is_spin: bool
-    twist_signs: dict[int, int]
     spin_residue: int
 
     @property
@@ -532,22 +516,12 @@ def refinable_structures(cat: CategoryData,
     subgroups = _all_subgroups(group, trivial_degree)
     result = []
     for elems in subgroups:
-        twist_signs: dict[int, int] = {}
-        ok = True
-        for h in elems:
-            tw = cat.twist[h]
-            if tw == one:
-                twist_signs[h] = 1
-            elif tw == -cat.field.one:
-                twist_signs[h] = -1
-            else:
-                ok = False
-                break
-        if not ok:
+        twists = [cat.twist[h] for h in elems]
+        if any(tw != one and tw != -one for tw in twists):
             # Twists on a refinable subgroup must be +-1; anything else
             # signals corrupt data and the subgroup is skipped.
             continue
-        is_spin = any(v == -1 for v in twist_signs.values())
+        is_spin = -one in twists
         gen = _cyclic_generator(group, elems)
         order = len(elems)
         spin_residue = order // 2 if is_spin else 0
@@ -556,7 +530,6 @@ def refinable_structures(cat: CategoryData,
             order=order,
             generator=gen,
             is_spin=is_spin,
-            twist_signs=twist_signs,
             spin_residue=spin_residue,
         ))
     result.sort(key=lambda s: (s.order, s.elements))

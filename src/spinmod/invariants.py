@@ -29,7 +29,7 @@ from .category import (CategoryData, Grading, GradingError, KirbyColor,
                        default_primitive_root, grading, invertibles,
                        kirby_color, refinable_structures)
 from .constructions import reduced_subcategory
-from .cyclo import CycloNumber, gauss_sum
+from .cyclo import CycloNumber
 from .surgery import PlumbingForest, SignaturePair, signature
 
 
@@ -609,7 +609,6 @@ class MooParams:
     xi: CycloNumber
     delta: int = 1
     alpha: int = 1
-    g_residue: int | None = None
 
 
 def _root_order(xi: CycloNumber, bound: int) -> int:
@@ -757,33 +756,8 @@ def moo(mat: structures.LinkingMatrix, m: int, xi: CycloNumber,
         sig: SignaturePair | None = None) -> InvariantValue:
     """Gauss-sum invariant: sum over (Z_m)^n of xi^(l L l), divided by the
     one-variable Gauss sum g and its conjugate to the signature powers.
-
-    When the off-diagonal support of L is a forest, l L l = sum_v f_v l_v^2
-    + sum_(edges p-c) (L_pc + L_cp) l_p l_c, and the sum is counted by one
-    integer pass over the forest in about n m^2 order operations instead
-    of m^n (`_quadratic_sum`)."""
-    if m < 1:
-        raise MooError("m must be positive")
-    n = len(mat)
-    values = [range(m)] * n
-    bound = m if m % 2 else 2 * m
-    tree = _check_enumeration_budget(mat, values, bound)
-    if not (xi ** bound).is_one():
-        raise MooError(f"xi^{bound} != 1: wrong root order for modulus {m}")
-    order = _root_order(xi, bound)
-    if sig is None:
-        sig = signature(mat)
-    total = _quadratic_sum(mat, values, xi, order, tree)
-    g = gauss_sum(m, xi)
-    gbar = g.conj()
-    if g.is_zero() or gbar.is_zero():
-        raise MooError("vanishing Gauss sum; invariant undefined")
-    exact = total
-    if sig.b_plus:
-        exact = exact * g.invert() ** sig.b_plus
-    if sig.b_minus:
-        exact = exact * gbar.invert() ** sig.b_minus
-    return InvariantValue.of(exact, sig, g, gbar)
+    It is `moo_refined` at delta = alpha = 1 on the zero class."""
+    return moo_refined(mat, MooParams(m, xi), (0,) * len(mat), sig)
 
 
 def moo_refined(mat: structures.LinkingMatrix, params: MooParams,
@@ -793,10 +767,12 @@ def moo_refined(mat: structures.LinkingMatrix, params: MooParams,
     gamma ranging over Z_(alpha delta m); the normalizing Gauss sum runs
     over the residue delta/2 (spin type) or 0 (cohomological type).
 
-    Vertex v runs over range(klass_v, klass_v + alpha delta m, delta), and
-    on a forest the sum of xi^(gamma L gamma) is counted by the same
-    integer pass as `moo`, from the same identity gamma L gamma =
-    sum_v f_v gamma_v^2 + sum_(edges p-c) (L_pc + L_cp) gamma_p gamma_c."""
+    Vertex v runs over range(klass_v, klass_v + alpha delta m, delta).
+    When the off-diagonal support of L is a forest, gamma L gamma =
+    sum_v f_v gamma_v^2 + sum_(edges p-c) (L_pc + L_cp) gamma_p gamma_c,
+    and the sum of xi^(gamma L gamma) is counted by one integer pass over
+    the forest in about n (alpha m)^2 order operations instead of
+    (alpha m)^n (`_quadratic_sum`)."""
     m, xi, delta, alpha = params.m, params.xi, params.delta, params.alpha
     if m < 1 or delta < 1 or alpha < 1:
         raise MooError("m, delta, alpha must be positive")
@@ -813,11 +789,8 @@ def moo_refined(mat: structures.LinkingMatrix, params: MooParams,
     if sig is None:
         sig = signature(mat)
     total = _quadratic_sum(mat, values, xi, order, tree)
-    g_res = params.g_residue
-    if g_res is None:
-        g_res = delta // 2 if delta % 2 == 0 else 0
     g = xi.field.zero
-    for gamma in range(g_res % delta, big, delta):
+    for gamma in range(0 if delta % 2 else delta // 2, big, delta):
         g = g + xi ** ((gamma * gamma) % order)
     gbar = g.conj()
     if g.is_zero() or gbar.is_zero():

@@ -198,6 +198,16 @@ def test_cli_verify_rejects_non_positive_counts():
 
 SL2_4_TEXT = formats.category_to_text(sl2_category(4))
 ZEROS_16 = " ".join(["0"] * 8)   # one number of Q(zeta_16)
+
+
+def zeroed_line(directive, label):
+    """(line, replacement) setting the number of sl2(4)'s ``directive
+    label`` line to zero."""
+    line = next(ln for ln in SL2_4_TEXT.splitlines(keepends=True)
+                if ln.startswith(f"{directive} {label} "))
+    return line, f"{directive} {label} {ZEROS_16}\n"
+
+
 BAD_CATEGORY_FILES = {
     "short_dual": ("dual 0 1 2\n", "dual 0 1\n"),
     "negative_multiplicity": ("fusion 1 1 0 1\n", "fusion 1 1 0 -1\n"),
@@ -207,6 +217,7 @@ BAD_CATEGORY_FILES = {
     "short_fusion": ("end\n", "fusion 1 1\nend\n"),
     "qdim_index": ("end\n", f"qdim 7 {ZEROS_16}\nend\n"),
     "label_index": ("end\n", "label 9 x\nend\n"),
+    "zero_twist": zeroed_line("twist", 1),
 }
 BAD_MATRICES = ("[1]", "[[1],2]", "[[1.5]]", "[[true]]")
 
@@ -230,6 +241,39 @@ def test_cli_malformed_category_or_matrix_exits_2(case, tmp_path):
     assert len(errors) == 1
 
 
+def former_traceback_argv(case, tmp_path):
+    forest_file = tmp_path / "m.forest"
+    forest_file.write_text("vertex 0 framing -1\n")
+    if case == "derive_into_missing_dir":
+        return ["category", "derive", "builtin:sl2:4",
+                "--out", str(tmp_path / "missing" / "x.cat")]
+    if case == "deeply_nested_matrix":
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        return ["structures", "hom", "--matrix", str(deep), "--d", "2"]
+    cat_file = tmp_path / f"{case}.cat"
+    old, new = zeroed_line(*(("twist", 1) if case == "zero_twist"
+                             else ("qdim", 2)))
+    cat_file.write_text(SL2_4_TEXT.replace(old, new, 1))
+    if case == "zero_qdim_verify":
+        return ["verify", "sum", "--category", str(cat_file),
+                "--corpus-size", "2"]
+    argv = ["invariant", "--category", str(cat_file),
+            "--manifold", str(forest_file)]
+    return argv + ["--refine", "spin"] if case == "zero_qdim_refine" else argv
+
+
+@pytest.mark.parametrize("case", ["derive_into_missing_dir",
+                                  "deeply_nested_matrix", "zero_twist",
+                                  "zero_qdim_refine", "zero_qdim_verify"])
+def test_cli_former_tracebacks_exit_2(case, tmp_path):
+    # each of these escaped as an exception (FileNotFoundError,
+    # RecursionError, ZeroDivisionError), i.e. exit 1 with a traceback
+    rc, err = run_cli_err(*former_traceback_argv(case, tmp_path))
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_cli_refine_on_a_category_without_unit_exits_2(tmp_path):
     # found by the fuzz test below: the refinement path met the missing
     # unit channel as a KeyError deep inside the subgroup search
@@ -250,19 +294,24 @@ FUZZ_TOKENS = st.sampled_from(["0", "1", "-1", "2", "3", "4", "7", "12", "16",
 @st.composite
 def mutated_text(draw, text):
     """``text`` with one to three line edits: drop, duplicate or truncate a
-    line, or put a token in place of (or after) one of its words."""
+    line, put a token in place of (or after) one of its words, or zero
+    every word after the first two (a zero number on a qdim or twist
+    line)."""
     lines = text.splitlines()
     for _ in range(draw(st.integers(1, 3))):
         if not lines:
             break
         i = draw(st.integers(0, len(lines) - 1))
-        op = draw(st.sampled_from(["drop", "dup", "cut", "token"]))
+        op = draw(st.sampled_from(["drop", "dup", "cut", "token", "zero"]))
         if op == "drop":
             del lines[i]
         elif op == "dup":
             lines.insert(i, lines[i])
         elif op == "cut":
             lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        elif op == "zero":
+            words = lines[i].split()
+            lines[i] = " ".join(words[:2] + ["0"] * len(words[2:]))
         else:
             words = lines[i].split()
             j = draw(st.integers(0, len(words)))
@@ -433,18 +482,14 @@ def test_invariant_csv_requires_refinement(tmp_path):
     assert rc == 2
 
 
-def test_jobspec_programmatic_run(tmp_path):
-    from spinmod.cli import JobSpec, run
+def test_cli_programmatic_run(tmp_path):
     forest_file = tmp_path / "m.forest"
     forest_file.write_text("vertex 0 framing 1\n")
-    spec = JobSpec(command="invariant", category_source="builtin:sl2:8",
-                   manifold_source=str(forest_file), refine="spin", d=2,
-                   output="json")
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        rc = run(spec)
+    rc, out = run_cli("invariant", "--category", "builtin:sl2:8",
+                      "--manifold", str(forest_file), "--refine", "spin",
+                      "--d", "2", "--format", "json")
     assert rc == 0
-    doc = json.loads(buf.getvalue())
+    doc = json.loads(out)
     assert doc["table"]["entries"][0]["structure"] == [1]
 
 
