@@ -37,6 +37,16 @@ def load_forest(source: str):
         raise InputError(f"bad forest file {source}: {exc}") from exc
 
 
+def load_category(source: str):
+    """A category to evaluate: a file must pass the premodular axioms, a
+    builtin is correct by construction and not rechecked."""
+    cat = formats.resolve_category(source)
+    bad = [] if source.startswith("builtin:") else check_axioms(cat).violations
+    if bad:
+        raise InputError(f"category {source} is not premodular: {bad[0]}")
+    return cat
+
+
 def load_matrix(source: str):
     text = source
     if not source.lstrip().startswith("["):
@@ -140,7 +150,7 @@ def _run_structures(args) -> int:
 
 
 def _run_invariant(args) -> int:
-    cat = formats.resolve_category(args.category)
+    cat = load_category(args.category)
     f = load_forest(args.manifold)
     ev = Evaluator(cat)
     out = {
@@ -164,13 +174,16 @@ def _run_invariant(args) -> int:
 def _run_verify(args) -> int:
     if args.corpus_size < 1 or args.sequences < 1:
         raise InputError("--corpus-size and --sequences must be positive")
+    if args.category and args.suite not in ("sum", "kirby"):
+        raise InputError("--category applies only to the sum and kirby "
+                         "suites")
     if args.suite == "all":
         reports = verify.run_all(seed=args.seed)
     else:
         kwargs = {"seed": args.seed, "size": args.corpus_size,
                   "sequences": args.sequences}
         if args.category:
-            kwargs["category"] = formats.resolve_category(args.category)
+            kwargs["category"] = load_category(args.category)
         reports = [verify.run_suite(args.suite, **kwargs)]
     for report in reports:
         print(report.render())

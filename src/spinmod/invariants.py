@@ -7,8 +7,8 @@ tree: rooted anywhere, it is
                       * prod_(parent u, child v) S^(sign)[color(v)][color(u)] / qdim(color(u))
 
 with S^(+) the Hopf matrix and S^(-) its dual-color twin; forests multiply
-over trees.  Weighted sums over all colorings are evaluated by
-leaf-to-root message passing in O(n |labels|^2) ring operations, pinned
+over trees.  Weighted sums over all colorings take one leaves-first pass
+(`PlumbingForest.rooted`) in O(n |labels|^2) ring operations, pinned
 against a brute-force sum over all colorings.
 
 The unrefined invariant divides by F(U_+1(omega))^b+ F(U_-1(omega))^b-;
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from . import structures
+from . import structures, surgery
 from .category import (CategoryData, Grading, GradingError, KirbyColor,
                        RefinableStructure, character_value,
                        default_primitive_root, grading, invertibles,
@@ -121,7 +121,10 @@ def _check_modulus(d: int) -> None:
 class Evaluator:
     """Caches per-category data (twist powers, inverse dimensions, leaf
     messages, unknot values) across many forest evaluations, and the
-    gradings keyed by (generator, e_k).
+    gradings keyed by (generator, e_k).  `eval_weighted` walks the
+    forest's `rooted` order once: a vertex folds its inbox of child
+    messages and posts its own to its parent; a root multiplies its tree's
+    total (an isolated vertex is an unknot) into the product.
 
     All evaluation methods are pure functions of (category, forest,
     weights); every cache is keyed by the weight vector itself, never by a
@@ -198,107 +201,72 @@ class Evaluator:
 
     def eval_colored(self, forest: PlumbingForest, colors,
                      root: int | None = None) -> CycloNumber:
-        """One fixed coloring, evaluated by the rooted product formula."""
+        """One fixed coloring by the product formula, rooted at `root`."""
         colors = tuple(colors)
         if len(colors) != forest.n:
             raise InvariantError("one color per vertex required")
-        adj = forest.neighbors()
-        total = self.cat.field.one
-        for comp in forest.components():
-            r = root if root is not None and root in comp else comp[0]
-            total = total * self._colored_tree(forest, adj, comp, colors, r)
-        return total
-
-    def _colored_tree(self, forest, adj, comp, colors, root) -> CycloNumber:
-        value = self.cat.qdim[colors[root]]
-        stack = [(root, -1)]
-        while stack:
-            v, par = stack.pop()
-            value = value * self.theta_power(colors[v], forest.framings[v])
-            for (w, sign) in adj[v]:
-                if w == par:
-                    continue
-                # edge (v parent, w child)
-                value = value * self._srow(colors[w], sign)[colors[v]] \
-                    * self.qdim_inv(colors[v])
-                stack.append((w, v))
+        parent, sign, order = forest.rooted_at(root)
+        value = self.cat.field.one
+        for v in order:
+            lam, p = colors[v], parent[v]
+            value = value * self.theta_power(lam, forest.framings[v])
+            if p < 0:
+                value = value * self.cat.qdim[lam]
+            else:
+                value = value * self._srow(lam, sign[v])[colors[p]] \
+                    * self.qdim_inv(colors[p])
         return value
 
     def eval_weighted(self, forest: PlumbingForest, weights) -> CycloNumber:
         """Sum over all colorings of the per-vertex weights times the colored
-        invariant, by message passing up each tree."""
+        invariant, in one leaves-first pass over the forest."""
         vecs = [_weight_vec(self.cat, w) for w in weights]
         if len(vecs) != forest.n:
             raise InvariantError("one weight per vertex required")
-        adj = forest.neighbors()
-        total = self.cat.field.one
-        for comp in forest.components():
-            total = total * self._tree_sum(forest, adj, comp, vecs)
-        return total
-
-    def _tree_sum(self, forest, adj, comp, vecs) -> CycloNumber:
-        root = comp[0]
-        if len(comp) == 1:
-            return self._unknot(forest.framings[root], vecs[root])
+        parent, signs, order = forest.rooted
         n = self.cat.size
-        parent = {root: -1}
-        edge_sign = {}
-        order = [root]
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for (w, sign) in adj[v]:
-                if w == parent[v]:
-                    continue
-                parent[w] = v
-                edge_sign[w] = sign
-                order.append(w)
-                stack.append(w)
-        children: dict[int, list[int]] = {v: [] for v in comp}
-        for v in order[1:]:
-            children[parent[v]].append(v)
-        msg: dict[int, list[CycloNumber]] = {}
         zero = self.cat.field.zero
-        for v in reversed(order):
-            vec = vecs[v]
-            kids = children[v]
+        inbox: list[list[tuple[CycloNumber, ...]]] = [[] for _ in vecs]
+        total = self.cat.field.one
+        for v in order:
+            vec, framing, p = vecs[v], forest.framings[v], parent[v]
+            kids = inbox[v]
             if not kids:
-                leaf_key = (vec, forest.framings[v], edge_sign[v])
+                if p < 0:
+                    total = total * self._unknot(framing, vec)
+                    continue
+                leaf_key = (vec, framing, signs[v])
                 cached = self._leaf_cache.get(leaf_key)
                 if cached is not None:
-                    msg[v] = cached
+                    inbox[p].append(cached)
                     continue
             fvec: list[CycloNumber | None] = [None] * n
             for lam in _support(vec):
-                f = vec[lam] * self.theta_power(lam, forest.framings[v])
+                f = vec[lam] * self.theta_power(lam, framing)
                 if kids:
                     f = f * self._qdim_inv_power(lam, len(kids))
-                    for c in kids:
-                        f = f * msg[c][lam]
+                    for msg in kids:
+                        f = f * msg[lam]
                 if not f.is_zero():
                     fvec[lam] = f
-            if v == root:
-                total = zero
-                for lam in range(n):
-                    if fvec[lam] is not None:
-                        total = total + fvec[lam] * self.cat.qdim[lam]
-                return total
+            if p < 0:
+                total = total * sum((f * q for f, q in zip(fvec, self.cat.qdim)
+                                     if f is not None), zero)
+                continue
             out = [zero] * n
-            sign = edge_sign[v]
-            for lam in range(n):
-                f = fvec[lam]
+            for lam, f in enumerate(fvec):
                 if f is None:
                     continue
-                row = self._srow(lam, sign)
+                row = self._srow(lam, signs[v])
                 for lp in range(n):
                     s = row[lp]
                     if not s.is_zero():
                         out[lp] = out[lp] + f * s
             out_t = tuple(out)
-            msg[v] = out_t
+            inbox[p].append(out_t)
             if not kids:
                 self._leaf_cache[leaf_key] = out_t
-        raise AssertionError("unreachable")
+        return total
 
     def brute_weighted(self, forest: PlumbingForest, weights) -> CycloNumber:
         """Oracle: direct sum over all colorings, no message passing."""
@@ -650,27 +618,9 @@ def _forest_order(mat) -> tuple[list[int], list[int]] | None:
     off-diagonal support of `mat` (i ~ j iff mat[i][j] or mat[j][i] is
     nonzero), or None when the support has a cycle."""
     n = len(mat)
-    parent = [-1] * n
-    seen = [False] * n
-    preorder = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            preorder.append(v)
-            for u in range(n):
-                if u == v or u == parent[v] or not (mat[v][u] or mat[u][v]):
-                    continue
-                if seen[u]:
-                    return None
-                seen[u] = True
-                parent[u] = v
-                stack.append(u)
-    preorder.reverse()
-    return parent, preorder
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if mat[i][j] or mat[j][i]]
+    return surgery._forest_order(n, pairs)
 
 
 def _dense_counts(mat, values, order: int) -> dict[int, int]:

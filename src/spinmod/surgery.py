@@ -16,6 +16,7 @@ catastrophic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +25,39 @@ from . import structures
 
 class ForestError(ValueError):
     """Malformed plumbing forest or illegal move."""
+
+
+def _forest_order(n: int, pairs, first: int | None = None
+                  ) -> tuple[list[int], list[int]] | None:
+    """Parent array (-1 at roots) and a leaves-first vertex order of the
+    graph on range(n) with edges `pairs` (no loops, no repeats), or None
+    when it has a cycle.  Each tree is rooted at its least vertex, except
+    that the tree holding `first`, if it is a vertex, is rooted there."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for (u, v) in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * n
+    seen = [False] * n
+    preorder = []
+    for root in ((first, *range(n)) if first in range(n) else range(n)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            preorder.append(v)
+            for u in adj[v]:
+                if u == parent[v]:
+                    continue
+                if seen[u]:
+                    return None
+                seen[u] = True
+                parent[u] = v
+                stack.append(u)
+    preorder.reverse()
+    return parent, preorder
 
 
 @dataclass(frozen=True)
@@ -36,14 +70,6 @@ class PlumbingForest:
     def __post_init__(self):
         n = len(self.framings)
         seen_pairs = set()
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for (u, v, sign) in self.edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ForestError(f"edge ({u},{v}) out of range")
@@ -54,45 +80,31 @@ class PlumbingForest:
             if (u, v) in seen_pairs:
                 raise ForestError(f"duplicate edge ({u},{v})")
             seen_pairs.add((u, v))
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise ForestError(f"edge ({u},{v}) creates a cycle")
-            parent[ru] = rv
+        self.rooted  # the walk rejects a cycle
 
     @property
     def n(self) -> int:
         return len(self.framings)
 
-    def neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-vertex list of (neighbor, edge sign)."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for (u, v, sign) in self.edges:
-            adj[u].append((v, sign))
-            adj[v].append((u, sign))
-        return tuple(tuple(a) for a in adj)
-
     def degree(self, v: int) -> int:
         return sum(1 for (u, w, _) in self.edges if u == v or w == v)
 
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Vertex sets of the trees, each sorted, in order of least vertex."""
-        adj = self.neighbors()
-        seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for (w, _) in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+    @functools.cached_property
+    def rooted(self) -> tuple[tuple[int, ...], ...]:
+        """(parent, sign of the edge to the parent, leaves-first order) with
+        each tree rooted at its least vertex; -1 and 0 at a root."""
+        return self.rooted_at(None)
+
+    def rooted_at(self, first: int | None) -> tuple[tuple[int, ...], ...]:
+        """`rooted`, except that the tree holding `first` is rooted there."""
+        tree = _forest_order(self.n, [e[:2] for e in self.edges], first)
+        if tree is None:
+            raise ForestError("edges contain a cycle")
+        parent, order = tree
+        sign = [0] * self.n
+        for (u, v, s) in self.edges:
+            sign[v if parent[v] == u else u] = s
+        return tuple(parent), tuple(sign), tuple(order)
 
     def linking_matrix(self) -> structures.LinkingMatrix:
         n = self.n

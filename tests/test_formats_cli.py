@@ -159,11 +159,32 @@ def test_cli_exit_codes(tmp_path):
     assert rc == 2
 
 
-def run_cli_err(*argv):
+def run_cli_out_err(*argv):
     err = io.StringIO()
     with redirect_stderr(err):
-        rc, _ = run_cli(*argv)
-    return rc, err.getvalue().strip().splitlines()
+        rc, out = run_cli(*argv)
+    return rc, out, err.getvalue().strip().splitlines()
+
+
+def run_cli_err(*argv):
+    rc, _, err = run_cli_out_err(*argv)
+    return rc, err
+
+
+def reports_a_failure(argv, out):
+    """Whether ``out`` gives the reason for exit 1: the violations listed by
+    ``category check`` or a ``[FAIL]`` line from ``verify``; no other
+    command exits 1."""
+    lines = out.splitlines()
+    if argv[0] == "verify":
+        return any(ln.startswith("[FAIL]") for ln in lines)
+    if argv[0] == "category" and "check" in argv:
+        try:
+            return bool(json.loads(out)["violations"])
+        except ValueError:
+            return any(ln.startswith("violations: [")
+                       and ln != "violations: []" for ln in lines)
+    return False
 
 
 def test_cli_refine_rejects_non_positive_modulus(tmp_path):
@@ -276,15 +297,58 @@ def test_cli_former_tracebacks_exit_2(case, tmp_path):
 
 def test_cli_refine_on_a_category_without_unit_exits_2(tmp_path):
     # found by the fuzz test below: the refinement path met the missing
-    # unit channel as a KeyError deep inside the subgroup search
+    # unit channel as a KeyError deep inside the subgroup search.  The CLI
+    # now refuses the file at its axiom check, and the evaluator still
+    # refuses it on its own
+    text = SL2_4_TEXT.replace("fusion 0 0 0 1\n", "")
     cat_file = tmp_path / "no_unit.cat"
-    cat_file.write_text(SL2_4_TEXT.replace("fusion 0 0 0 1\n", ""))
+    cat_file.write_text(text)
     forest_file = tmp_path / "m.forest"
     forest_file.write_text("vertex 0 framing 1\n")
     rc, err = run_cli_err("invariant", "--category", str(cat_file),
                           "--manifold", str(forest_file), "--refine", "spin")
     assert rc == 2
-    assert err == ["error: the unit label 0 is not invertible"]
+    assert err == [f"error: category {cat_file} is not premodular: "
+                   "unit fusion fails at (0,0)"]
+    ev = Evaluator(formats.category_from_text(text))
+    with pytest.raises(ValueError,
+                       match="^the unit label 0 is not invertible$"):
+        ev.wrt_spin(forest([1]), 2)
+
+
+def test_cli_evaluates_only_premodular_category_files(tmp_path):
+    # sl2(4) with qdim(2) zeroed fails the axioms; `invariant` used to
+    # print a value for it with exit 0, and `verify` ran on it
+    cat_file = tmp_path / "zero_qdim.cat"
+    old, new = zeroed_line("qdim", 2)
+    cat_file.write_text(SL2_4_TEXT.replace(old, new, 1))
+    forest_file = tmp_path / "chain.forest"
+    forest_file.write_text(formats.forest_to_text(chain([1, 2, 1])))
+    message = (f"error: category {cat_file} is not premodular: "
+               "smat[2][0] != qdim(2)")
+    for argv in (("invariant", "--manifold", str(forest_file)),
+                 ("verify", "sum", "--corpus-size", "2"),
+                 ("verify", "kirby", "--sequences", "2")):
+        assert run_cli_err(*argv, "--category", str(cat_file)) \
+            == (2, [message])
+    # a file that passes is evaluated like the builtin it came from
+    good_file = tmp_path / "sl2_4.cat"
+    good_file.write_text(SL2_4_TEXT)
+    for source in (str(good_file), "builtin:sl2:4"):
+        rc, out = run_cli("invariant", "--category", source,
+                          "--manifold", str(forest_file), "--format", "json")
+        assert rc == 0
+        assert json.loads(out)["invariant"] == formats.invariant_to_json(
+            Evaluator(sl2_category(4)).wrt(chain([1, 2, 1])))
+
+
+@pytest.mark.parametrize("suite", ["all", "bijection", "moo", "axioms"])
+def test_cli_verify_category_applies_only_to_sum_and_kirby(suite, tmp_path):
+    # the other suites ignored --category and exited 0
+    for source in (str(tmp_path / "bad.cat"), "builtin:sl2:5"):
+        assert run_cli_err("verify", suite, "--category", source) == \
+            (2, ["error: --category applies only to the sum and kirby "
+                 "suites"])
 
 
 FUZZ_TOKENS = st.sampled_from(["0", "1", "-1", "2", "3", "4", "7", "12", "16",
@@ -333,7 +397,8 @@ FUZZ_MATRICES = st.one_of(
 @given(st.data())
 def test_cli_fuzzed_inputs_keep_the_exit_code_contract(data):
     # exit 0 or 1 for well-formed input, 2 with exactly one error line for
-    # malformed input, and never an escaping exception
+    # malformed input, and never an escaping exception; 1 only with the
+    # failure it reports
     command = data.draw(st.sampled_from(["category", "invariant", "structures"]))
     with tempfile.TemporaryDirectory() as tmp:
         cat_file = Path(tmp) / "fuzz.cat"
@@ -356,8 +421,10 @@ def test_cli_fuzzed_inputs_keep_the_exit_code_contract(data):
             kind = data.draw(st.sampled_from(["spin", "coh", "chern", "hom"]))
             argv = ["structures", kind, "--matrix",
                     data.draw(FUZZ_MATRICES), "--d", d]
-        rc, err = run_cli_err(*argv)
+        rc, out, err = run_cli_out_err(*argv)
     assert rc in (0, 1, 2)
+    if rc == 1:
+        assert reports_a_failure(argv, out)
     if rc == 2:
         assert len([ln for ln in err if ln.startswith("error:")]) == 1
 
@@ -385,8 +452,8 @@ NON_INTEGERS = st.sampled_from(["x", "1.5", "", "0x2", "two", "1e3", " 3"])
 def test_cli_fuzzed_argv_keeps_the_exit_code_contract(data):
     # valid argv lists with tokens dropped, duplicated or swapped, unknown
     # flags added and option values made non-integer: exit 0, 1 or 2, one
-    # error line with 2, never an escaping exception (argparse's own
-    # usage errors included)
+    # error line with 2, 1 only with the failure it reports, never an
+    # escaping exception (argparse's own usage errors included)
     with tempfile.TemporaryDirectory() as tmp:
         forest_file = Path(tmp) / "m.forest"
         forest_file.write_text(FOREST_TEXT)
@@ -411,8 +478,10 @@ def test_cli_fuzzed_argv_keeps_the_exit_code_contract(data):
                            if argv[k - 1].startswith("--")] or [i]
                 argv[data.draw(st.sampled_from(options))] = \
                     data.draw(NON_INTEGERS)
-        rc, err = run_cli_err(*argv)
+        rc, out, err = run_cli_out_err(*argv)
     assert rc in (0, 1, 2)
+    if rc == 1:
+        assert reports_a_failure(argv, out)
     if rc == 2:
         assert len([ln for ln in err if ln.startswith("error:")]) == 1
 

@@ -83,6 +83,49 @@ def test_weighted_oracle_agreement():
         assert ev.eval_weighted(f, weights) == ev.brute_weighted(f, weights)
 
 
+def relabelled_forest(rng, n):
+    """A forest on n vertices under a random labelling: several trees,
+    isolated vertices, and parents with larger labels than their
+    children."""
+    label = list(range(n))
+    rng.shuffle(label)
+    return forest([rng.randint(-3, 3) for _ in range(n)],
+                  [(label[rng.randrange(v)], label[v], rng.choice((1, -1)))
+                   for v in range(1, n) if rng.random() < 0.6])
+
+
+@pytest.mark.parametrize("make", [lambda: sl2_category(5),
+                                  lambda: abelian_category(3, make_root(3, 1))],
+                         ids=["sl2_5", "abelian_3"])
+def test_weighted_pass_on_relabelled_forests(make):
+    from spinmod.category import grading, invertibles
+    cat = make()
+    ev = Evaluator(cat)
+    grad = grading(cat, invertibles(cat))
+    colors = [kirby_color(cat, "plain")] + [
+        kirby_color(cat, kind, p, grad) for kind in ("graded", "dual")
+        for p in range(grad.modulus)]
+    rng = random.Random(17)
+    field = cat.field
+    shapes = set()
+    for _ in range(30):
+        f = relabelled_forest(rng, rng.randint(1, 5))
+        parent, _, _ = f.rooted
+        shapes.add((parent.count(-1) > 1,
+                    any(f.degree(v) == 0 for v in range(f.n)),
+                    any(p > v for v, p in enumerate(parent))))
+        random_weights = [tuple(field.zeta(rng.randrange(field.order))
+                                * rng.randint(-2, 2) for _ in range(cat.size))
+                          for _ in range(f.n)]
+        for weights in ([rng.choice(colors) for _ in range(f.n)],
+                        random_weights):
+            assert ev.eval_weighted(f, weights) \
+                == ev.brute_weighted(f, weights)
+    # the sample covers several trees, isolated vertices and parents with
+    # larger labels, all in one forest
+    assert (True, True, True) in shapes
+
+
 def test_wrt_basics(ev5):
     assert ev5.wrt(forest([])).exact.is_one()
     assert ev5.wrt(forest([1])).exact.is_one()

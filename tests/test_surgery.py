@@ -32,6 +32,82 @@ def test_forest_validation():
         forest([0, 0], [(0, 1, 2)])
 
 
+def _component_count(n, pairs):
+    """Trees of the graph by min-label propagation, independent of the
+    walk under test."""
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for (u, v) in pairs:
+            low = min(label[u], label[v])
+            if label[u] != low or label[v] != low:
+                label[u] = label[v] = low
+                changed = True
+    return len(set(label))
+
+
+@st.composite
+def edge_lists(draw):
+    """n vertices and a set of distinct non-loop edges in either
+    orientation, with signs; cycles allowed."""
+    n = draw(st.integers(2, 8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+        lambda e: tuple(sorted((e[0], (e[0] + e[1]) % n))))
+    edges = draw(st.dictionaries(pair, st.sampled_from((1, -1)),
+                                 max_size=n + 1))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges),
+                          max_size=len(edges)))
+    return n, [(v, u, s) if flip else (u, v, s)
+               for ((u, v), s), flip in zip(edges.items(), flips)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+def test_forest_rejects_exactly_the_cyclic_edge_lists(case):
+    # a graph is a forest iff it has n - |E| components
+    n, edges = case
+    if _component_count(n, [e[:2] for e in edges]) == n - len(edges):
+        assert forest([0] * n, edges).n == n
+    else:
+        with pytest.raises(ForestError):
+            forest([0] * n, edges)
+
+
+def test_rooted_view_is_leaves_first_with_least_roots():
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        label = list(range(n))
+        rng.shuffle(label)
+        f = forest([0] * n, [(label[rng.randrange(v)], label[v],
+                              rng.choice((1, -1)))
+                             for v in range(1, n) if rng.random() < 0.7])
+        first = rng.randrange(n)
+        for view, pinned in ((f.rooted, None), (f.rooted_at(first), first)):
+            parent, sign, order = view
+            assert sorted(order) == list(range(n))
+            pos = {v: i for i, v in enumerate(order)}
+            trees = {}
+            for v in range(n):
+                p, root = parent[v], v
+                if p < 0:
+                    assert sign[v] == 0
+                else:
+                    assert pos[v] < pos[p]
+                    assert (min(v, p), max(v, p), sign[v]) in f.edges
+                while parent[root] >= 0:
+                    root = parent[root]
+                trees.setdefault(root, []).append(v)
+            assert len(trees) == n - len(f.edges)
+            for root, members in trees.items():
+                assert root == (pinned if pinned in members
+                                else min(members))
+    assert f.rooted is f.rooted
+    # a root that is not a vertex leaves the default rooting
+    assert f.rooted_at(-1) == f.rooted_at(n) == f.rooted
+
+
 def test_signature_examples():
     assert signature(((0, 1), (1, 0))) == SignaturePair(1, 1, 0)
     assert signature(((7,),)).b_plus == 1
