@@ -21,7 +21,7 @@ import sys
 from . import formats, structures, verify
 from .category import check_axioms
 from .invariants import Evaluator
-from .surgery import signature
+from .surgery import forest_signature
 
 
 class InputError(ValueError):
@@ -112,7 +112,7 @@ def _run_category(args) -> int:
 def _run_manifold(args) -> int:
     f = load_forest(args.source)
     mat = f.linking_matrix()
-    sig = signature(mat)
+    sig = forest_signature(f)
     out = {
         "vertices": f.n,
         "edges": [list(e) for e in f.edges],

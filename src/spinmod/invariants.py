@@ -9,7 +9,8 @@ tree: rooted anywhere, it is
 with S^(+) the Hopf matrix and S^(-) its dual-color twin; forests multiply
 over trees.  Weighted sums over all colorings take one leaves-first pass
 (`PlumbingForest.rooted`) in O(n |labels|^2) ring operations, pinned
-against a brute-force sum over all colorings.
+against a brute-force sum over all colorings; subtrees are interned by
+content, so a subtree the evaluator has seen before costs one lookup.
 
 The unrefined invariant divides by F(U_+1(omega))^b+ F(U_-1(omega))^b-;
 refined tables reuse exactly these unrefined denominators (the graded
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 from . import structures, surgery
 from .category import (CategoryData, Grading, GradingError, KirbyColor,
@@ -30,7 +31,11 @@ from .category import (CategoryData, Grading, GradingError, KirbyColor,
                        kirby_color, refinable_structures)
 from .constructions import reduced_subcategory
 from .cyclo import CycloNumber
-from .surgery import PlumbingForest, SignaturePair, signature
+from .surgery import (PlumbingForest, SignaturePair, forest_signature,
+                      signature)
+
+# entries an Evaluator's subtree store holds before it is cleared
+SUBTREE_STORE_LIMIT = 4096
 
 
 class InvariantError(ValueError):
@@ -119,12 +124,15 @@ def _check_modulus(d: int) -> None:
 
 
 class Evaluator:
-    """Caches per-category data (twist powers, inverse dimensions, leaf
-    messages, unknot values) across many forest evaluations, and the
-    gradings keyed by (generator, e_k).  `eval_weighted` walks the
-    forest's `rooted` order once: a vertex folds its inbox of child
-    messages and posts its own to its parent; a root multiplies its tree's
-    total (an isolated vertex is an unknot) into the product.
+    """Caches per-category data (twist powers, inverse dimensions, subtree
+    messages, unknot values, normalization factors) across many forest
+    evaluations, and the gradings keyed by (generator, e_k).
+    `eval_weighted` walks the forest's `rooted` order once: a vertex folds
+    its inbox of child messages and posts its own to its parent; a root
+    multiplies its tree's total into the product.  Every subtree is
+    interned by content in a bounded store, so a subtree repeated within
+    a forest, or across the many graded evaluations of a table, is folded
+    once.
 
     All evaluation methods are pure functions of (category, forest,
     weights); every cache is keyed by the weight vector itself, never by a
@@ -135,9 +143,11 @@ class Evaluator:
         self.cat = cat
         self._theta_pow: dict[tuple[int, int], CycloNumber] = {}
         self._qdim_inv_pow: dict[tuple[int, int], CycloNumber] = {}
-        self._leaf_cache: dict[tuple, tuple[CycloNumber, ...]] = {}
+        self._subtrees: dict[tuple, tuple[int, object]] = {}
+        self._subtree_ids = count()
         self._unknot_cache: dict[tuple, CycloNumber] = {}
         self._denom_inv: dict[int, CycloNumber] = {}
+        self._norms: dict[tuple[int, int], tuple] = {}
         self._group = None
         self._refinables: list[RefinableStructure] | None = None
         self._gradings: dict[tuple[int, int], Grading] = {}
@@ -219,54 +229,67 @@ class Evaluator:
 
     def eval_weighted(self, forest: PlumbingForest, weights) -> CycloNumber:
         """Sum over all colorings of the per-vertex weights times the colored
-        invariant, in one leaves-first pass over the forest."""
+        invariant, in one leaves-first pass over the forest.
+
+        Each rooted subtree is interned by content: (weight vector, framing,
+        sign of the edge to the parent, sorted child ids), with sign 0 at a
+        root.  The key maps to an id and to the subtree's outgoing message
+        (its tree total at a root), so a subtree seen before, in this
+        forest or an earlier one, costs one lookup.  Ids are never reused,
+        so clearing the store past `SUBTREE_STORE_LIMIT` entries only loses
+        sharing."""
         vecs = [_weight_vec(self.cat, w) for w in weights]
         if len(vecs) != forest.n:
             raise InvariantError("one weight per vertex required")
         parent, signs, order = forest.rooted
-        n = self.cat.size
-        zero = self.cat.field.zero
-        inbox: list[list[tuple[CycloNumber, ...]]] = [[] for _ in vecs]
+        store = self._subtrees
+        inbox: list[list[tuple[int, tuple]]] = [[] for _ in vecs]
         total = self.cat.field.one
         for v in order:
-            vec, framing, p = vecs[v], forest.framings[v], parent[v]
             kids = inbox[v]
-            if not kids:
-                if p < 0:
-                    total = total * self._unknot(framing, vec)
-                    continue
-                leaf_key = (vec, framing, signs[v])
-                cached = self._leaf_cache.get(leaf_key)
-                if cached is not None:
-                    inbox[p].append(cached)
-                    continue
-            fvec: list[CycloNumber | None] = [None] * n
-            for lam in _support(vec):
-                f = vec[lam] * self.theta_power(lam, framing)
-                if kids:
-                    f = f * self._qdim_inv_power(lam, len(kids))
-                    for msg in kids:
-                        f = f * msg[lam]
-                if not f.is_zero():
-                    fvec[lam] = f
-            if p < 0:
-                total = total * sum((f * q for f, q in zip(fvec, self.cat.qdim)
-                                     if f is not None), zero)
-                continue
-            out = [zero] * n
-            for lam, f in enumerate(fvec):
-                if f is None:
-                    continue
-                row = self._srow(lam, signs[v])
-                for lp in range(n):
-                    s = row[lp]
-                    if not s.is_zero():
-                        out[lp] = out[lp] + f * s
-            out_t = tuple(out)
-            inbox[p].append(out_t)
-            if not kids:
-                self._leaf_cache[leaf_key] = out_t
+            vec, framing, sign = vecs[v], forest.framings[v], signs[v]
+            key = (vec, framing, sign, tuple(sorted(i for i, _ in kids)))
+            entry = store.get(key)
+            if entry is None:
+                entry = (next(self._subtree_ids),
+                         self._fold(vec, framing, sign, [m for _, m in kids]))
+                if len(store) >= SUBTREE_STORE_LIMIT:
+                    store.clear()
+                store[key] = entry
+            if parent[v] < 0:
+                total = total * entry[1]
+            else:
+                inbox[parent[v]].append(entry)
         return total
+
+    def _fold(self, vec, framing: int, sign: int, msgs):
+        """A vertex with its children's messages folded in: the message
+        to its parent along an edge of `sign`, or at a root (sign 0) the
+        total of its tree."""
+        n = self.cat.size
+        zero = self.cat.field.zero
+        fvec: list[CycloNumber | None] = [None] * n
+        for lam in _support(vec):
+            f = vec[lam] * self.theta_power(lam, framing)
+            if msgs:
+                f = f * self._qdim_inv_power(lam, len(msgs))
+                for msg in msgs:
+                    f = f * msg[lam]
+            if not f.is_zero():
+                fvec[lam] = f
+        if not sign:
+            return sum((f * q for f, q in zip(fvec, self.cat.qdim)
+                        if f is not None), zero)
+        out = [zero] * n
+        for lam, f in enumerate(fvec):
+            if f is None:
+                continue
+            row = self._srow(lam, sign)
+            for lp in range(n):
+                s = row[lp]
+                if not s.is_zero():
+                    out[lp] = out[lp] + f * s
+        return tuple(out)
 
     def brute_weighted(self, forest: PlumbingForest, weights) -> CycloNumber:
         """Oracle: direct sum over all colorings, no message passing."""
@@ -320,13 +343,19 @@ class Evaluator:
         return val
 
     def normalize(self, raw: CycloNumber, sig: SignaturePair) -> InvariantValue:
-        exact = raw
-        if sig.b_plus:
-            exact = exact * self._denominator_inv(1) ** sig.b_plus
-        if sig.b_minus:
-            exact = exact * self._denominator_inv(-1) ** sig.b_minus
-        return InvariantValue.of(exact, sig, self.denominator(1),
-                                 self.denominator(-1))
+        key = (sig.b_plus, sig.b_minus)
+        norm = self._norms.get(key)
+        if norm is None:
+            factor = None   # F(U_+1)^-b+ F(U_-1)^-b-, None when both are 0
+            for sign, power in ((1, sig.b_plus), (-1, sig.b_minus)):
+                if power:
+                    term = self._denominator_inv(sign) ** power
+                    factor = term if factor is None else factor * term
+            norm = (factor, self.denominator(1), self.denominator(-1))
+            self._norms[key] = norm
+        factor, denom_plus, denom_minus = norm
+        exact = raw if factor is None else raw * factor
+        return InvariantValue.of(exact, sig, denom_plus, denom_minus)
 
     # -- refinement plumbing ---------------------------------------------------
 
@@ -382,7 +411,7 @@ class Evaluator:
     # -- invariants ------------------------------------------------------------
 
     def wrt(self, forest: PlumbingForest) -> InvariantValue:
-        sig = signature(forest.linking_matrix())
+        sig = forest_signature(forest)
         raw = self.eval_weighted(forest, [self._plain] * forest.n)
         return self.normalize(raw, sig)
 
@@ -432,7 +461,7 @@ class Evaluator:
         kernel of L mod g otherwise.  Entries are keyed by the concatenated
         vectors."""
         mat = forest.linking_matrix()
-        sig = signature(mat)
+        sig = forest_signature(forest)
         minus_one = -self.cat.field.one
         sets = [(structures.spin_solutions
                  if self.cat.twist[g.generator] == minus_one
@@ -477,7 +506,7 @@ class Evaluator:
         mod = 2 * d if spinc else d
         grad = self.structure_grading(mod, spin=spinc, e_k=e_k)
         mat = forest.linking_matrix()
-        sig = signature(mat)
+        sig = forest_signature(forest)
         rhs = (structures.characteristic_rhs(mat, mod) if spinc
                else (0,) * forest.n)
         # never None: diag(L) mod 2 lies in Im(L mod 2) for symmetric L

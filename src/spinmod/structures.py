@@ -166,22 +166,22 @@ class GeneratedCoset:
     def points(self) -> list[tuple[int, ...]]:
         """Every point, in lexicographic order of k; refused over budget.
 
-        Built one generator at a time: each point p so far is followed by
-        p + g, p + 2g, ... (mod modulus), one vector addition per point."""
+        Built one coordinate column at a time: each generator expands every
+        entry x of a column into x, x + g, x + 2g, ... (mod modulus), read
+        from a table of the residues of x; the columns zip into points."""
         if self.count > ENUMERATION_LIMIT:
             raise StructureError(f"enumeration of {self.count} vectors "
                                  "exceeds size limit")
+        if not self.offset:
+            return [()] * self.count
         d = self.modulus
-        out = [tuple(x % d for x in self.offset)]
+        cols = [[x % d] for x in self.offset]
         for gen, order in zip(self.gens, self.orders):
-            walked = []
-            for cur in out:
-                walked.append(cur)
-                for _ in range(order - 1):
-                    cur = tuple((x + y) % d for x, y in zip(cur, gen))
-                    walked.append(cur)
-            out = walked
-        return out
+            for j, g in enumerate(gen):
+                steps = [[(x + k * g) % d for k in range(order)]
+                         for x in range(d)]
+                cols[j] = [y for x in cols[j] for y in steps[x]]
+        return list(zip(*cols))
 
 
 def solution_coset(mat, rhs, d: int) -> GeneratedCoset | None:

@@ -8,10 +8,10 @@ twists and quantum dimensions alone, which keeps every computation exact.
 Handle slides leave the class and are therefore not forest operations;
 the move set here is stabilization, blow-up/blow-down (the Fenn-Rourke
 composite) and per-vertex orientation reversal, which generate enough
-Kirby equivalences for machine verification.  Signatures are computed by
-exact rational congruence, never by floating eigenvalues: eigenvalue sign
-counts feed exponents of invertible numbers, where an off-by-one is
-catastrophic.
+Kirby equivalences for machine verification.  Signatures are computed
+exactly, by leaf elimination on a forest and by rational congruence on any
+symmetric matrix, never by floating eigenvalues: eigenvalue sign counts
+feed exponents of invertible numbers, where an off-by-one is catastrophic.
 """
 
 from __future__ import annotations
@@ -187,6 +187,41 @@ def signature(mat: structures.LinkingMatrix) -> SignaturePair:
                     a[r][c] -= f * a[pivot][c]
         # column entries are no longer consulted for removed indices
     return SignaturePair(b_plus, b_minus, 0)
+
+
+def forest_signature(f: PlumbingForest) -> SignaturePair:
+    """`signature(f.linking_matrix())` by leaf elimination, O(n) Fractions.
+
+    Leaves first, a vertex whose children are eliminated has the pivot
+    a_v = f_v - sum_children 1/a_c (edge signs square away).  A nonzero
+    pivot counts its sign and passes -1/a_v to the parent.  A zero pivot
+    under a live parent p spans a hyperbolic block with p: one eigenvalue
+    of each sign, and congruence clears p's other entries, so p is cut
+    and drops out.  A zero pivot at a root or under a cut parent is
+    isolated and counts nullity.
+    """
+    parent, _, order = f.rooted
+    a = [Fraction(m) for m in f.framings]
+    cut = [False] * f.n
+    b_plus = b_minus = nullity = 0
+    for v in order:
+        if cut[v]:
+            continue
+        p, x = parent[v], a[v]
+        if x:
+            if x > 0:
+                b_plus += 1
+            else:
+                b_minus += 1
+            if p >= 0:
+                a[p] -= 1 / x
+        elif p >= 0 and not cut[p]:
+            b_plus += 1
+            b_minus += 1
+            cut[p] = True
+        else:
+            nullity += 1
+    return SignaturePair(b_plus, b_minus, nullity)
 
 
 @dataclass(frozen=True)

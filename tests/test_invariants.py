@@ -83,6 +83,82 @@ def test_weighted_oracle_agreement():
         assert ev.eval_weighted(f, weights) == ev.brute_weighted(f, weights)
 
 
+def repeated_subtree_forests():
+    """Forests whose subtrees repeat: a star with equal leaves beside its
+    leaf as an isolated vertex; a tree with one two-vertex branch hanging
+    by a +1 and by a -1 edge beside the same branch as a tree of its own;
+    and E8."""
+    star = forest([2, 1, 1, 1, 1], [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
+    shared = forest([2, 3, 1, 3, 1, 3, 1],
+                    [(0, 1, 1), (1, 2, 1), (0, 3, -1), (3, 4, 1), (5, 6, 1)])
+    return [star, shared, e8_forest()]
+
+
+def uniform_weights(cat):
+    """Plain, every graded and dual color and every delta weight."""
+    from spinmod.category import grading, invertibles
+    grad = grading(cat, invertibles(cat))
+    return ([kirby_color(cat, "plain")]
+            + [kirby_color(cat, kind, p, grad) for kind in ("graded", "dual")
+               for p in range(grad.modulus)]
+            + [delta_weight(cat, lam) for lam in range(cat.size)])
+
+
+# abelian_3 has non-self-dual labels, so the edge sign changes a message
+@pytest.mark.parametrize("make", [lambda: sl2_category(4),
+                                  lambda: abelian_category(3, make_root(3, 1))],
+                         ids=["sl2_4", "abelian_3"])
+def test_warm_subtree_store_matches_fresh_and_brute(make):
+    cat = make()
+    warm = Evaluator(cat)
+    colors = uniform_weights(cat)
+    rng = random.Random(5)
+    for f in repeated_subtree_forests():
+        mixed = [[rng.choice(colors) for _ in range(f.n)] for _ in range(2)]
+        for weights in [[w] * f.n for w in colors] + mixed:
+            got = warm.eval_weighted(f, weights)
+            assert got == Evaluator(cat).eval_weighted(f, weights)
+            assert got == warm.brute_weighted(f, weights)
+
+
+def test_subtree_store_interns_by_content():
+    # the star stores its leaf once under the root and once as a root;
+    # the shared forest has 7 vertices but 5 distinct rooted subtrees: the
+    # leaf (three times), the branch under +1, under -1 and as a root, and
+    # the root of the larger tree
+    cat = abelian_category(3, make_root(3, 1))
+    star, shared, _ = repeated_subtree_forests()
+    for weight in uniform_weights(cat):
+        for f, distinct in ((star, 3), (shared, 5)):
+            ev = Evaluator(cat)
+            ev.eval_weighted(f, [weight] * f.n)
+            assert len(ev._subtrees) == distinct
+
+
+class _BoundedStore(dict):
+    """A subtree store that fails the moment it outgrows the limit."""
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        assert len(self) <= invariants.SUBTREE_STORE_LIMIT
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3])
+def test_subtree_store_limit(monkeypatch, limit):
+    # chains of equal vertices nest equal keys, so an id handed out twice
+    # across a clear would serve one subtree's message for another
+    cat = abelian_category(3, make_root(3, 1))
+    colors = uniform_weights(cat)
+    forests = repeated_subtree_forests() + [chain([1] * 6), chain([2] * 5)]
+    cases = [(f, [w] * f.n) for f in forests for w in colors]
+    expected = [Evaluator(cat).eval_weighted(f, ws) for f, ws in cases]
+    monkeypatch.setattr(invariants, "SUBTREE_STORE_LIMIT", limit)
+    ev = Evaluator(cat)
+    ev._subtrees = _BoundedStore()
+    for _ in range(2):
+        assert [ev.eval_weighted(f, ws) for f, ws in cases] == expected
+
+
 def relabelled_forest(rng, n):
     """A forest on n vertices under a random labelling: several trees,
     isolated vertices, and parents with larger labels than their

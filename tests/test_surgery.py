@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from spinmod import structures
 from spinmod.corpus import e8_forest, random_forest, random_move_sequence
 from spinmod.surgery import (ForestError, SignaturePair, apply_move,
-                             blow_down, blow_up, chain, forest, reverse,
-                             signature, stabilize, structure_transport)
+                             blow_down, blow_up, chain, forest,
+                             forest_signature, reverse, signature, stabilize,
+                             structure_transport)
 
 
 def test_linking_matrix_examples():
@@ -115,6 +116,37 @@ def test_signature_examples():
     assert signature(((0,),)).nullity == 1
     sig = signature(e8_forest().linking_matrix())
     assert (sig.b_plus, sig.b_minus, sig.nullity) == (8, 0, 0)
+
+
+@pytest.mark.parametrize("framings, edges, expected", [
+    ([], [], (0, 0, 0)),
+    ([0], [], (0, 0, 1)),                                # zero isolated vertex
+    ([0, 0], [(0, 1, 1)], (1, 1, 0)),                    # zero leaf, live root
+    ([1, 1], [(0, 1, -1)], (1, 0, 1)),                   # root pivot 1 - 1 = 0
+    ([1, 0, 0], [(0, 1, 1), (0, 2, 1)], (1, 1, 1)),      # two zero leaves
+    ([2, 0, 0], [(0, 1, 1), (1, 2, -1)], (2, 1, 0)),     # the cut drops out
+    # a zero leaf under a cut parent, then a zero root
+    ([0, 0, 0, 0], [(0, 1, 1), (1, 2, 1), (1, 3, 1)], (1, 1, 2)),
+    # two cuts, one of them at the root
+    ([-1, 0, 5, 0, 0], [(0, 1, 1), (1, 2, 1), (1, 3, 1), (0, 4, -1)],
+     (3, 2, 0)),
+])
+def test_forest_signature_hand_cases(framings, edges, expected):
+    f = forest(framings, edges)
+    assert forest_signature(f) == SignaturePair(*expected)
+    assert signature(f.linking_matrix()) == SignaturePair(*expected)
+
+
+def test_forest_signature_matches_signature_on_random_forests():
+    # |framing| <= 3 makes zero pivots, hence cuts and nullity, common
+    rng = random.Random(2014)
+    degenerate = 0
+    for _ in range(20_000):
+        f = random_forest(rng, 9, 3)
+        sig = forest_signature(f)
+        assert sig == signature(f.linking_matrix()), f
+        degenerate += sig.nullity > 0
+    assert degenerate > 2_000
 
 
 @settings(max_examples=50, deadline=None)
