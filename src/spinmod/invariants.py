@@ -34,8 +34,11 @@ from .cyclo import CycloNumber
 from .surgery import (PlumbingForest, SignaturePair, forest_signature,
                       signature)
 
-# entries an Evaluator's subtree store holds before it is cleared
-SUBTREE_STORE_LIMIT = 4096
+# field coefficients (entries x labels x field degree) an Evaluator's
+# subtree store may hold before it is cleared; the largest store measured,
+# `verify all --seed 7` on sl2(8), needs 232,512, and one coefficient
+# takes about 10-18 bytes
+SUBTREE_STORE_BUDGET = 1 << 19
 
 
 class InvariantError(ValueError):
@@ -144,10 +147,12 @@ class Evaluator:
         self._theta_pow: dict[tuple[int, int], CycloNumber] = {}
         self._qdim_inv_pow: dict[tuple[int, int], CycloNumber] = {}
         self._subtrees: dict[tuple, tuple[int, object]] = {}
+        self._store_limit = max(
+            1, SUBTREE_STORE_BUDGET // (cat.size * cat.field.degree))
         self._subtree_ids = count()
         self._unknot_cache: dict[tuple, CycloNumber] = {}
         self._denom_inv: dict[int, CycloNumber] = {}
-        self._norms: dict[tuple[int, int], tuple] = {}
+        self._norms: dict[tuple[int, int], CycloNumber] = {}
         self._group = None
         self._refinables: list[RefinableStructure] | None = None
         self._gradings: dict[tuple[int, int], Grading] = {}
@@ -236,8 +241,8 @@ class Evaluator:
         root.  The key maps to an id and to the subtree's outgoing message
         (its tree total at a root), so a subtree seen before, in this
         forest or an earlier one, costs one lookup.  Ids are never reused,
-        so clearing the store past `SUBTREE_STORE_LIMIT` entries only loses
-        sharing."""
+        so clearing the store, once its entries would hold more than
+        `SUBTREE_STORE_BUDGET` field coefficients, only loses sharing."""
         vecs = [_weight_vec(self.cat, w) for w in weights]
         if len(vecs) != forest.n:
             raise InvariantError("one weight per vertex required")
@@ -253,7 +258,7 @@ class Evaluator:
             if entry is None:
                 entry = (next(self._subtree_ids),
                          self._fold(vec, framing, sign, [m for _, m in kids]))
-                if len(store) >= SUBTREE_STORE_LIMIT:
+                if len(store) >= self._store_limit:
                     store.clear()
                 store[key] = entry
             if parent[v] < 0:
@@ -344,18 +349,16 @@ class Evaluator:
 
     def normalize(self, raw: CycloNumber, sig: SignaturePair) -> InvariantValue:
         key = (sig.b_plus, sig.b_minus)
-        norm = self._norms.get(key)
-        if norm is None:
-            factor = None   # F(U_+1)^-b+ F(U_-1)^-b-, None when both are 0
-            for sign, power in ((1, sig.b_plus), (-1, sig.b_minus)):
-                if power:
-                    term = self._denominator_inv(sign) ** power
-                    factor = term if factor is None else factor * term
-            norm = (factor, self.denominator(1), self.denominator(-1))
-            self._norms[key] = norm
-        factor, denom_plus, denom_minus = norm
-        exact = raw if factor is None else raw * factor
-        return InvariantValue.of(exact, sig, denom_plus, denom_minus)
+        factor = self._norms.get(key)   # F(U_+1)^-b+ F(U_-1)^-b-
+        if factor is None:
+            factor = self.cat.field.one
+            if sig.b_plus:
+                factor = factor * self._denominator_inv(1) ** sig.b_plus
+            if sig.b_minus:
+                factor = factor * self._denominator_inv(-1) ** sig.b_minus
+            self._norms[key] = factor
+        return InvariantValue.of(raw * factor, sig, self.denominator(1),
+                                 self.denominator(-1))
 
     # -- refinement plumbing ---------------------------------------------------
 

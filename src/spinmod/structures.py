@@ -168,7 +168,8 @@ class GeneratedCoset:
 
         Built one coordinate column at a time: each generator expands every
         entry x of a column into x, x + g, x + 2g, ... (mod modulus), read
-        from a table of the residues of x; the columns zip into points."""
+        from a table over the residues the column holds, so the work stays
+        within the size of the output; the columns zip into points."""
         if self.count > ENUMERATION_LIMIT:
             raise StructureError(f"enumeration of {self.count} vectors "
                                  "exceeds size limit")
@@ -178,8 +179,8 @@ class GeneratedCoset:
         cols = [[x % d] for x in self.offset]
         for gen, order in zip(self.gens, self.orders):
             for j, g in enumerate(gen):
-                steps = [[(x + k * g) % d for k in range(order)]
-                         for x in range(d)]
+                steps = {x: [(x + k * g) % d for k in range(order)]
+                         for x in set(cols[j])}
                 cols[j] = [y for x in cols[j] for y in steps[x]]
         return list(zip(*cols))
 

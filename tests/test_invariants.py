@@ -136,11 +136,15 @@ def test_subtree_store_interns_by_content():
 
 
 class _BoundedStore(dict):
-    """A subtree store that fails the moment it outgrows the limit."""
+    """A subtree store that fails the moment it outgrows `limit`."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
 
     def __setitem__(self, key, value):
         super().__setitem__(key, value)
-        assert len(self) <= invariants.SUBTREE_STORE_LIMIT
+        assert len(self) <= self.limit
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3])
@@ -152,11 +156,27 @@ def test_subtree_store_limit(monkeypatch, limit):
     forests = repeated_subtree_forests() + [chain([1] * 6), chain([2] * 5)]
     cases = [(f, [w] * f.n) for f in forests for w in colors]
     expected = [Evaluator(cat).eval_weighted(f, ws) for f, ws in cases]
-    monkeypatch.setattr(invariants, "SUBTREE_STORE_LIMIT", limit)
+    # the budget counts field coefficients: labels x degree per entry
+    per_entry = cat.size * cat.field.degree
+    monkeypatch.setattr(invariants, "SUBTREE_STORE_BUDGET",
+                        limit * per_entry + per_entry - 1)
     ev = Evaluator(cat)
-    ev._subtrees = _BoundedStore()
+    assert ev._store_limit == limit
+    ev._subtrees = _BoundedStore(limit)
     for _ in range(2):
         assert [ev.eval_weighted(f, ws) for f, ws in cases] == expected
+
+
+def test_subtree_store_limit_scales_with_the_field(monkeypatch):
+    # a larger field holds fewer entries, and never fewer than one
+    small, large = Evaluator(sl2_category(4)), Evaluator(sl2_category(24))
+    for ev in (small, large):
+        cat = ev.cat
+        assert ev._store_limit == (invariants.SUBTREE_STORE_BUDGET
+                                   // (cat.size * cat.field.degree))
+    assert large._store_limit < small._store_limit
+    monkeypatch.setattr(invariants, "SUBTREE_STORE_BUDGET", 1)
+    assert Evaluator(sl2_category(4))._store_limit == 1
 
 
 def relabelled_forest(rng, n):

@@ -258,6 +258,20 @@ def test_generated_coset_refuses_before_walking():
         coset.points()
 
 
+def test_generated_coset_work_is_bounded_by_its_points():
+    # a free coordinate at a large modulus: d points, not a d x d table
+    d = 1 << 20
+    coset = solution_coset(as_matrix([[0]]), (0,), d)
+    assert coset.count == d
+    assert sorted(coset.points()) == [(x,) for x in range(d)]
+    # two points at d = 10^9: no table over every residue
+    d = 10 ** 9
+    coset = solution_coset(as_matrix([[2]]), (0,), d)
+    assert coset.count == 2
+    assert sorted(coset.points()) == [(0,), (d // 2,)]
+    assert solve_mod(as_matrix([[2]]), (4,), d) == [(2,), (d // 2 + 2,)]
+
+
 @st.composite
 def symmetric_matrices(draw, max_n=4, span=4):
     n = draw(st.integers(1, max_n))
