@@ -196,12 +196,8 @@ def check_axioms(cat: CategoryData) -> AxiomReport:
     for a in range(n):
         for b in range(a, n):
             lhs = twist[a] * twist[b] * smat[a][b]
-            rhs = cat.field.zero
-            for c, mult in cat.fusion_channels(a, b):
-                term = twist[c] * qdim[c]
-                if mult != 1:
-                    term = term * mult
-                rhs = rhs + term
+            rhs = cat.field.dot((twist[c] * mult, qdim[c])
+                                for c, mult in cat.fusion_channels(a, b))
             if lhs != rhs:
                 complain(f"ribbon identity fails at ({a},{b})")
 
@@ -209,9 +205,7 @@ def check_axioms(cat: CategoryData) -> AxiomReport:
                         if all(smat[a][b] == qdim[a] * qdim[b] for b in range(n)))
 
     modular = _rank_mod_p(cat) == n or _rank(cat) == n
-    global_dim = cat.field.zero
-    for a in range(n):
-        global_dim = global_dim + qdim[a] * qdim[a]
+    global_dim = cat.field.dot((q, q) for q in qdim)
     agreement: bool | None = None
     if not global_dim.is_zero():
         agreement = modular == (transparent == (0,))

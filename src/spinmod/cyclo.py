@@ -8,6 +8,13 @@ coordinate vector over one positive denominator, in the power basis
 polynomial.  The representation is canonical, so equality (in particular
 exactness of vanishing results) is coefficient-wise.
 
+Multiplication is one sparse multiply-accumulate kernel,
+``CycloField.dot(pairs)`` = sum of a*b: it multiplies only nonzero
+coordinates into one unreduced polynomial of degree 2 phi(N) - 2 over the
+lcm of the pair denominators, reduces it through sparse rows x^k mod Phi_N
+(1 to 6 nonzero terms for the fields the sl2 categories use), and
+normalizes once.  ``CycloNumber.__mul__`` is its one-pair case.
+
 No floating point enters any computation; ``embed_complex`` exists only
 for display and diagnostics.
 """
@@ -18,6 +25,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 
 class FieldMismatchError(ValueError):
@@ -89,7 +97,7 @@ class CycloField:
     """Q(zeta_N) with precomputed reduction data for the power basis."""
 
     __slots__ = (
-        "order", "degree", "phi_coeffs", "_red", "_zeta_cache",
+        "order", "degree", "phi_coeffs", "_rows", "_zeta_cache",
         "_complex_powers", "zero", "one",
     )
 
@@ -101,21 +109,19 @@ class CycloField:
         self.phi_coeffs = phi
         d = len(phi) - 1
         self.degree = d
-        # x^k mod Phi_N for k = d .. max(N-1, 2d-2), as integer rows.
+        # x^k mod Phi_N for k = d .. max(N-1, 2d-2), each row as its
+        # nonzero (index, coefficient) pairs.
         top = max(order - 1, 2 * d - 2)
-        rows: list[tuple[int, ...]] = []
-        base = tuple(-phi[j] for j in range(d))
+        rows: list[tuple[tuple[int, int], ...]] = []
+        base = [-c for c in phi[:d]]
         cur = base
-        rows.append(cur)
-        for _ in range(d + 1, top + 1):
-            shifted = [0] + list(cur[: d - 1])
+        for _ in range(d, top + 1):
+            rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
             lead = cur[d - 1]
+            cur = [0] + cur[: d - 1]
             if lead:
-                for j in range(d):
-                    shifted[j] += lead * base[j]
-            cur = tuple(shifted)
-            rows.append(cur)
-        self._red = tuple(rows)
+                cur = [c + lead * b for c, b in zip(cur, base)]
+        self._rows = tuple(rows)
         self._zeta_cache: dict[int, CycloNumber] = {}
         z = cmath.exp(2j * cmath.pi / order)
         self._complex_powers = tuple(z ** j for j in range(d))
@@ -126,9 +132,13 @@ class CycloField:
         """Coordinates of x^(k mod N) reduced modulo Phi_N."""
         k %= self.order
         d = self.degree
+        out = [0] * d
         if k < d:
-            return tuple(1 if j == k else 0 for j in range(d))
-        return self._red[k - d]
+            out[k] = 1
+        else:
+            for j, c in self._rows[k - d]:
+                out[j] = c
+        return tuple(out)
 
     def _monomial_number(self, k: int) -> "CycloNumber":
         return CycloNumber(self, self._monomial(k), 1)
@@ -172,20 +182,64 @@ class CycloField:
         return self._substitute(value, self.order // src.order)
 
     def _substitute(self, value: "CycloNumber", k: int) -> "CycloNumber":
-        """``value`` with its root zeta replaced by zeta_N^k, reduced."""
-        acc = [0] * self.degree
+        """``value`` with its root zeta replaced by zeta_N^k, reduced: each
+        coordinate j goes to zeta^(jk mod N) through the sparse rows."""
+        n, d, rows = self.order, self.degree, self._rows
+        acc = [0] * d
         for j, c in enumerate(value.num):
             if c:
-                for i, r in enumerate(self._monomial(j * k)):
-                    if r:
+                e = j * k % n
+                if e < d:
+                    acc[e] += c
+                else:
+                    for i, r in rows[e - d]:
                         acc[i] += c * r
         return CycloNumber(self, acc, value.den)
+
+    def dot(self, pairs) -> "CycloNumber":
+        """The sum of a * b over ``pairs`` of numbers in this field.
+
+        The nonzero products of coordinates accumulate unreduced over the
+        lcm of the pair denominators; the sum is reduced modulo Phi_N and
+        normalized once, at the end."""
+        d = self.degree
+        acc = [0] * (2 * d - 1)
+        den = 1
+        for a, b in pairs:
+            if a.field is not self or b.field is not self:
+                raise FieldMismatchError(
+                    f"cannot combine {a.field} and {b.field} values "
+                    f"in Q(zeta_{self.order})")
+            terms = list(compress(enumerate(b.num), b.num))
+            if not terms:
+                continue
+            pden = a.den * b.den
+            scale = 1
+            if pden != den:
+                g = math.gcd(den, pden)
+                up = pden // g
+                if up != 1:
+                    acc = [v * up for v in acc]
+                scale = den // g
+                den *= up
+            for i, c in compress(enumerate(a.num), a.num):
+                if scale != 1:
+                    c *= scale
+                for j, t in terms:
+                    acc[i + j] += c * t
+        rows, high = self._rows, acc[d:]
+        for k, c in compress(enumerate(high), high):
+            for j, r in rows[k]:
+                acc[j] += c * r
+        return CycloNumber(self, acc[:d], den)
 
     def __repr__(self) -> str:
         return f"CycloField({self.order})"
 
 
 def _normalized(nums: tuple[int, ...] | list[int], den: int) -> tuple[tuple[int, ...], int]:
+    if den == 1:
+        return tuple(nums), 1
     if den < 0:
         den = -den
         nums = [-v for v in nums]
@@ -298,27 +352,7 @@ class CycloNumber:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        field = self.field
-        d = field.degree
-        a_num, b_num = self.num, b.num
-        prod = [0] * (2 * d - 1)
-        for i in range(d):
-            ai = a_num[i]
-            if ai:
-                for j in range(d):
-                    bj = b_num[j]
-                    if bj:
-                        prod[i + j] += ai * bj
-        red = field._red
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c:
-                row = red[k - d]
-                for j in range(d):
-                    rj = row[j]
-                    if rj:
-                        prod[j] += c * rj
-        return CycloNumber(field, prod[:d], self.den * b.den)
+        return self.field.dot(((self, b),))
 
     __rmul__ = __mul__
 

@@ -207,10 +207,10 @@ class Evaluator:
         key = (vec, framing)
         total = self._unknot_cache.get(key)
         if total is None:
-            total = self.cat.field.zero
-            for lam in _support(vec):
-                total = total + vec[lam] * self.theta_power(lam, framing) \
-                    * self.cat.qdim[lam]
+            qdim = self.cat.qdim
+            total = self.cat.field.dot(
+                (vec[lam] * self.theta_power(lam, framing), qdim[lam])
+                for lam in _support(vec))
             self._unknot_cache[key] = total
         return total
 
@@ -270,10 +270,11 @@ class Evaluator:
     def _fold(self, vec, framing: int, sign: int, msgs):
         """A vertex with its children's messages folded in: the message
         to its parent along an edge of `sign`, or at a root (sign 0) the
-        total of its tree."""
-        n = self.cat.size
-        zero = self.cat.field.zero
-        fvec: list[CycloNumber | None] = [None] * n
+        total of its tree.  With f_lam the vertex factor of label lam, each
+        outgoing label lp is one kernel call, the sum over lam of
+        f_lam * S^sign[lam][lp] (f_lam * qdim[lam] for the root total), so
+        it is reduced and normalized once."""
+        terms = []
         for lam in _support(vec):
             f = vec[lam] * self.theta_power(lam, framing)
             if msgs:
@@ -281,47 +282,47 @@ class Evaluator:
                 for msg in msgs:
                     f = f * msg[lam]
             if not f.is_zero():
-                fvec[lam] = f
+                terms.append((lam, f))
+        dot = self.cat.field.dot
         if not sign:
-            return sum((f * q for f, q in zip(fvec, self.cat.qdim)
-                        if f is not None), zero)
-        out = [zero] * n
-        for lam, f in enumerate(fvec):
-            if f is None:
-                continue
-            row = self._srow(lam, sign)
-            for lp in range(n):
-                s = row[lp]
-                if not s.is_zero():
-                    out[lp] = out[lp] + f * s
-        return tuple(out)
+            qdim = self.cat.qdim
+            return dot((f, qdim[lam]) for lam, f in terms)
+        rows = [(f, self._srow(lam, sign)) for lam, f in terms]
+        return tuple(dot((f, row[lp]) for f, row in rows)
+                     for lp in range(self.cat.size))
 
     def brute_weighted(self, forest: PlumbingForest, weights) -> CycloNumber:
-        """Oracle: direct sum over all colorings, no message passing."""
+        """Oracle: direct sum over all colorings, no message passing.
+
+        Each vertex's factor per supported label (weight, twist power, and
+        qdim on an isolated vertex or qdim^-(degree-1) otherwise) is built
+        once, so a coloring of the supports costs n + |E| multiplies."""
         vecs = [_weight_vec(self.cat, w) for w in weights]
         n = forest.n
         size = self.cat.size
         if size ** n > 1 << 22:
             raise InvariantError("brute-force coloring space too large")
-        degree = [forest.degree(v) for v in range(n)]
-        total = self.cat.field.zero
-        for coloring in product(range(size), repeat=n):
-            term = self.cat.field.one
-            ok = True
-            for v in range(n):
-                lam = coloring[v]
-                w = vecs[v][lam]
-                if w.is_zero():
-                    ok = False
-                    break
-                term = term * w * self.theta_power(lam, forest.framings[v])
-                dv = degree[v]
+        supports = [_support(vec) for vec in vecs]
+        field = self.cat.field
+        if not all(supports):
+            return field.zero
+        factors = []
+        for v, support in enumerate(supports):
+            dv = forest.degree(v)
+            fv = {}
+            for lam in support:
+                f = vecs[v][lam] * self.theta_power(lam, forest.framings[v])
                 if dv == 0:
-                    term = term * self.cat.qdim[lam]
+                    f = f * self.cat.qdim[lam]
                 elif dv > 1:
-                    term = term * self._qdim_inv_power(lam, dv - 1)
-            if not ok:
-                continue
+                    f = f * self._qdim_inv_power(lam, dv - 1)
+                fv[lam] = f
+            factors.append(fv)
+        total = field.zero
+        for coloring in product(*supports):
+            term = field.one
+            for fv, lam in zip(factors, coloring):
+                term = term * fv[lam]
             for (u, v, sign) in forest.edges:
                 term = term * self._srow(coloring[u], sign)[coloring[v]]
             total = total + term

@@ -1,5 +1,6 @@
-"""Exact cyclotomic arithmetic: ring axioms, inversion, conjugation,
-Gauss sums, and the complex embedding."""
+"""Exact cyclotomic arithmetic: the multiply-accumulate kernel against
+long division by Phi_N, ring axioms, inversion, conjugation, Gauss sums,
+and the complex embedding."""
 
 import math
 import random
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinmod.cyclo import (FieldMismatchError, cyclo_field,
+from spinmod.cyclo import (CycloNumber, FieldMismatchError, cyclo_field,
                            cyclotomic_polynomial, euler_phi, gauss_sum,
                            make_root)
 
@@ -160,3 +161,131 @@ def test_powers_and_rationals():
     q = cyclo_field(4).from_rational(Fraction(-3, 7))
     assert q.as_rational() == Fraction(-3, 7)
     assert q.coeffs[0] == Fraction(-3, 7)
+
+
+# -- the multiply-accumulate kernel against long division ---------------------
+
+# Phi_105 is the first cyclotomic polynomial with a coefficient -2; 40, 56,
+# 64 and 96 are fields of the sl2 categories, with sparse reduction rows.
+KERNEL_ORDERS = [1, 2, 3, 5, 12, 15, 40, 56, 64, 96, 105]
+
+
+def reduce_mod_phi(poly, n):
+    """Integer polynomial (low degree first) modulo Phi_n, by long division."""
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    poly = list(poly) + [0] * max(0, d - len(poly))
+    for k in range(len(poly) - 1, d - 1, -1):
+        c = poly[k]
+        if c:
+            for j in range(d + 1):
+                poly[k - d + j] -= c * phi[j]
+    assert not any(poly[d:])
+    return poly[:d]
+
+
+def oracle_product(a, b):
+    """Coordinates of a * b from the schoolbook product of the numerators."""
+    prod = [0] * (len(a.num) + len(b.num) - 1)
+    for i, x in enumerate(a.num):
+        for j, y in enumerate(b.num):
+            prod[i + j] += x * y
+    den = a.den * b.den
+    return tuple(Fraction(c, den)
+                 for c in reduce_mod_phi(prod, a.field.order))
+
+
+def kernel_operands(field, rng):
+    """Zero, monomials, sparse and dense values, with negative
+    coefficients and denominators, built from coordinates alone."""
+    d = field.degree
+
+    def coords(nonzero):
+        out = [Fraction(0)] * d
+        for j in rng.sample(range(d), nonzero):
+            out[j] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                              rng.choice([1, 1, 2, 3, 4, 6]))
+        return out
+
+    values = [field.zero, field.one, field.from_coeffs(coords(1)),
+              field.from_coeffs(coords(1)), field.from_coeffs(coords(d))]
+    values += [field.from_coeffs(coords(min(d, 3))) for _ in range(2)]
+    return values
+
+
+def assert_canonical(x):
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    assert len(x.num) == x.field.degree
+    if x.is_zero():
+        assert x.den == 1
+
+
+@pytest.mark.parametrize("n", KERNEL_ORDERS)
+def test_products_match_long_division(n):
+    field = cyclo_field(n)
+    values = kernel_operands(field, random.Random(n))
+    for a in values:
+        for b in values:
+            got = a * b
+            assert got.coeffs == oracle_product(a, b)
+            assert_canonical(got)
+
+
+@pytest.mark.parametrize("n", KERNEL_ORDERS)
+def test_dot_is_the_sum_of_products(n):
+    field = cyclo_field(n)
+    rng = random.Random(1000 + n)
+    values = kernel_operands(field, rng)
+    assert field.dot([]) == field.zero
+    assert_canonical(field.dot([]))
+    for size in (1, 2, 3, 5, 8):
+        for _ in range(6):
+            pairs = [(rng.choice(values), rng.choice(values))
+                     for _ in range(size)]
+            want = field.zero
+            for a, b in pairs:
+                want = want + a * b
+            got = field.dot(pairs)
+            assert got == want
+            assert_canonical(got)
+    # denominators 2 then 3 then 4: the accumulator is rescaled both ways
+    halves = [(field.from_rational(Fraction(1, q)), x)
+              for q, x in zip((2, 3, 4), values[2:])]
+    want = sum((a * b for a, b in halves), field.zero)
+    assert field.dot(halves) == want
+    # a sum that cancels to zero over a denominator comes back as 0 / 1
+    x = values[-1].scale(Fraction(1, 3))
+    cancelled = field.dot([(x, values[4]), (-x, values[4])])
+    assert cancelled == field.zero
+    assert_canonical(cancelled)
+
+
+def test_dot_rejects_numbers_of_another_field():
+    with pytest.raises(FieldMismatchError):
+        cyclo_field(8).dot([(make_root(8, 1), make_root(4, 1))])
+
+
+@pytest.mark.parametrize("n", KERNEL_ORDERS)
+def test_substitute_matches_long_division(n):
+    field = cyclo_field(n)
+    for x in kernel_operands(field, random.Random(2000 + n)):
+        for k in range(n):
+            poly = [0] * n
+            for j, c in enumerate(x.num):
+                poly[j * k % n] += c     # x^n = 1 modulo Phi_n
+            want = tuple(Fraction(c, x.den) for c in reduce_mod_phi(poly, n))
+            got = field._substitute(x, k)
+            assert got.coeffs == want
+            assert_canonical(got)
+
+
+def test_numbers_are_canonical_for_any_sign_of_denominator():
+    field = cyclo_field(12)
+    assert CycloNumber(field, (1, -2, 0, 3), -1).num == (-1, 2, 0, -3)
+    for nums, den in [((1, -2, 0, 3), -1), ((2, 4, 0, -6), -6),
+                      ((3, 0, 0, 9), 1), ((0, 0, 0, 0), -5),
+                      ((0, 0, 0, 0), 7), ((5, 5, 0, 0), 5)]:
+        x = CycloNumber(field, nums, den)
+        assert_canonical(x)
+        assert x.coeffs == tuple(Fraction(v, den) for v in nums)

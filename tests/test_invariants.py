@@ -83,6 +83,29 @@ def test_weighted_oracle_agreement():
         assert ev.eval_weighted(f, weights) == ev.brute_weighted(f, weights)
 
 
+def test_brute_weighted_is_the_sum_of_colored_values(ev5):
+    # the oracle against its definition: every coloring, weighted, by
+    # the product formula; one weight vector has a single zero entry and
+    # one has none, which makes the sum zero
+    cat = ev5.cat
+    one, zero = cat.field.one, cat.field.zero
+    rng = random.Random(17)
+    for _ in range(8):
+        f = random_forest(rng, max_vertices=3, max_framing=3)
+        vecs = [tuple(make_root(cat.field.order, rng.randrange(40))
+                      * rng.randint(-2, 2) for _ in range(cat.size))
+                for _ in range(f.n)]
+        vecs[0] = (zero,) + (one,) * (cat.size - 1)
+        want = zero
+        for colors in product(range(cat.size), repeat=f.n):
+            term = ev5.eval_colored(f, colors)
+            for vec, lam in zip(vecs, colors):
+                term = term * vec[lam]
+            want = want + term
+        assert ev5.brute_weighted(f, vecs) == want
+        assert ev5.brute_weighted(f, [(zero,) * cat.size] + vecs[1:]) == 0
+
+
 def repeated_subtree_forests():
     """Forests whose subtrees repeat: a star with equal leaves beside its
     leaf as an isolated vertex; a tree with one two-vertex branch hanging
