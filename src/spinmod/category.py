@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .cyclo import CycloField, CycloNumber
 
@@ -136,6 +137,12 @@ def check_axioms(cat: CategoryData) -> AxiomReport:
     that the Hopf-link matrix has full rank over the field.  When the global
     dimension is nonzero, the report also records whether modularity agrees
     with the transparency criterion (no transparent object besides the unit).
+
+    Fusion associativity is compared for each pair (a, b) on two integers
+    that pack both sides for every (c, d) as nonnegative base-2^w digits,
+    so big-integer products replace the loop over every (a, b, c); a
+    mismatch is read digit by digit, and the violations come in the
+    order of that loop.
     """
     n = cat.size
     one = cat.field.one
@@ -173,31 +180,48 @@ def check_axioms(cat: CategoryData) -> AxiomReport:
                 complain(f"unit fusion fails at ({a},{b})")
             if cat.fusion[a][b][0] != (1 if b == dual[a] else 0):
                 complain(f"duality channel fails at ({a},{b})")
-    # Associativity of fusion multiplicities, summed over nonzero channels:
-    # (a b) c has sum_e N_ab^e N_ec^d copies of d, a (b c) has sum_e N_bc^e N_ae^d.
-    chan = cat.fusion_channels
+    # Associativity of fusion multiplicities: (a b) c has sum_e N_ab^e N_ec^d
+    # copies of d, a (b c) has sum_e N_bc^e N_ae^d.  For each (a, b) both
+    # sides, for every (c, d) at once, are one integer with digit c*n + d in
+    # base 2^w: P[x][y] packs N_xy^d at digit d, Q[e] packs P[e][c] at
+    # digit group c, T[b][e] packs N_bc^e at digit group c, and
+    #   left  = sum_e N_ab^e Q[e],    right = sum_e P[a][e] T[b][e].
+    # Every term is nonnegative and every digit is at most (largest row
+    # sum of N) * (largest N) < 2^w, so the digits never carry and the two
+    # integers are equal exactly when the two sides are.
+    fusion = cat.fusion
+    most = (max(sum(row) for plane in fusion for row in plane)
+            * max(max(row) for plane in fusion for row in plane))
+    w = max(1, most.bit_length())
+    group = n * w
+    packed = [[sum(m << w * d for d, m in enumerate(row) if m) for row in plane]
+              for plane in fusion]
+    q = [sum(p << group * c for c, p in enumerate(prow)) for prow in packed]
+    t = []
+    for plane in fusion:
+        tb = [0] * n
+        for c, row in enumerate(plane):
+            for e, m in enumerate(row):
+                if m:
+                    tb[e] += m << group * c
+        t.append(tb)
+    mask = (1 << w) - 1
     for a in range(n):
+        pa = packed[a]
         for b in range(n):
-            ab = chan(a, b)
-            for c in range(n):
-                left = [0] * n
-                for e, m1 in ab:
-                    for d, m2 in chan(e, c):
-                        left[d] += m1 * m2
-                right = [0] * n
-                for e, m1 in chan(b, c):
-                    for d, m2 in chan(a, e):
-                        right[d] += m1 * m2
-                if left != right:
-                    for d in range(n):
-                        if left[d] != right[d]:
-                            complain(f"fusion associativity fails at ({a},{b},{c};{d})")
+            left = sum(m * q[e] for e, m in enumerate(fusion[a][b]) if m)
+            right = sum(map(mul, pa, t[b]))
+            if left != right:
+                for k in range(n * n):
+                    if (left >> w * k) & mask != (right >> w * k) & mask:
+                        c, d = divmod(k, n)
+                        complain(f"fusion associativity fails at ({a},{b},{c};{d})")
     # Ribbon identity: twist(a) twist(b) smat[a][b] = sum_c N^c_ab twist(c) qdim(c).
     for a in range(n):
         for b in range(a, n):
             lhs = twist[a] * twist[b] * smat[a][b]
             rhs = cat.field.dot((twist[c] * mult, qdim[c])
-                                for c, mult in cat.fusion_channels(a, b))
+                                for c, mult in enumerate(fusion[a][b]) if mult)
             if lhs != rhs:
                 complain(f"ribbon identity fails at ({a},{b})")
 

@@ -15,6 +15,17 @@ lcm of the pair denominators, reduces it through sparse rows x^k mod Phi_N
 (1 to 6 nonzero terms for the fields the sl2 categories use), and
 normalizes once.  ``CycloNumber.__mul__`` is its one-pair case.
 
+A vector times a matrix, the S-transform of the evaluator's fold, is
+``CycloField.vecmat``: Kronecker substitution evaluates each polynomial
+at x = 2^w, so Python's big-integer arithmetic runs the inner loops.  A
+vector entry f_i is packed once into one integer F_i = f_i(2^w); each
+nonzero coordinate c of a matrix entry at power j adds c * (F_i << wj) to
+its column; each column sum is unpacked once into balanced base-2^w
+digits and reduced like a ``dot`` result.  The width w is proven, not
+guessed: 2^(w-1) exceeds sum_i ||F_i||_inf * max_col ||row_i[col]||_1,
+which bounds every coefficient of every column sum, so unpacking is
+exact.
+
 No floating point enters any computation; ``embed_complex`` exists only
 for display and diagnostics.
 """
@@ -23,6 +34,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -79,6 +92,92 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if n % d == 0:
             poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
+
+
+# signed machine integer typecodes of `array` by byte width
+_NATIVE = {array(t).itemsize: t for t in "bhilq"}
+_SWAP = sys.byteorder == "big"
+
+
+def pack_width(bound: int) -> int:
+    """The least w = 8 * 2^k with 2^(w-1) > ``bound``: every integer of
+    absolute value at most ``bound`` is then one balanced base-2^w digit.
+    Widths up to 64 bits pack and unpack as machine integers."""
+    w = 8
+    while bound >> (w - 1):
+        w *= 2
+    return w
+
+
+@lru_cache(maxsize=64)
+def _bias(w: int, count: int) -> int:
+    """2^(w-1) in each of ``count`` base-2^w digits."""
+    return ((1 << w * count) - 1) // ((1 << w) - 1) << (w - 1)
+
+
+def pack(coeffs, w: int) -> int:
+    """sum_k c_k 2^(wk) for integers |c_k| < 2^(w-1), w a multiple of 8.
+
+    The coefficients are written as w-bit two's complement fields; flipping
+    each field's top bit (xor with the bias) and subtracting the bias turns
+    that bit string into the signed sum."""
+    nb = w // 8
+    fmt = _NATIVE.get(nb)
+    if fmt:
+        fields = array(fmt, coeffs)
+        if _SWAP:
+            fields.byteswap()
+        raw = fields.tobytes()
+    else:
+        raw = b"".join(c.to_bytes(nb, "little", signed=True) for c in coeffs)
+    bias = _bias(w, len(coeffs))
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def unpack(value: int, w: int, count: int) -> list[int]:
+    """The ``count`` balanced base-2^w digits c_k in [-2^(w-1), 2^(w-1))
+    with ``value`` = sum_k c_k 2^(wk); the inverse of ``pack``.  Adding the
+    bias makes every digit nonnegative, and flipping each top bit back
+    leaves the digits as w-bit two's complement fields."""
+    nb = w // 8
+    bias = _bias(w, count)
+    raw = ((value + bias) ^ bias).to_bytes(nb * count, "little")
+    fmt = _NATIVE.get(nb)
+    if fmt:
+        fields = array(fmt, raw)
+        if _SWAP:
+            fields.byteswap()
+        return fields.tolist()
+    return [int.from_bytes(raw[i:i + nb], "little", signed=True)
+            for i in range(0, len(raw), nb)]
+
+
+class MatrixRow:
+    """One matrix row prepared for ``CycloField.vecmat``: its entries over
+    a common denominator ``den``; ``terms``, the nonzero coordinates as
+    (power j, coefficient c, columns whose entry has c at power j); and
+    ``norm``, the largest l1 norm of an entry's numerator."""
+
+    __slots__ = ("den", "norm", "terms", "size")
+
+    def __init__(self, field: "CycloField", entries):
+        for e in entries:
+            if e.field is not field:
+                raise FieldMismatchError(
+                    f"cannot combine {e.field} and {field} values")
+        den = math.lcm(*[e.den for e in entries]) if entries else 1
+        groups: dict[tuple[int, int], list[int]] = {}
+        norm = 0
+        for col, e in enumerate(entries):
+            s = den // e.den
+            norm = max(norm, s * sum(map(abs, e.num)))
+            for j, c in compress(enumerate(e.num), e.num):
+                groups.setdefault((j, s * c), []).append(col)
+        self.den = den
+        self.norm = norm
+        self.terms = tuple((j, c, tuple(cols))
+                           for (j, c), cols in sorted(groups.items()))
+        self.size = len(entries)
 
 
 _FIELDS: dict[int, "CycloField"] = {}
@@ -227,6 +326,49 @@ class CycloField:
                     c *= scale
                 for j, t in terms:
                     acc[i + j] += c * t
+        return self._reduced(acc, den)
+
+    def vecmat(self, pairs, size: int) -> tuple["CycloNumber", ...]:
+        """The vector times matrix product: for each of the ``size``
+        columns, the sum of f * row[column] over ``pairs`` of a number f
+        and a ``MatrixRow``.
+
+        Every product goes over the common denominator D = lcm(f.den *
+        row.den), so f scales to F_i with F_i / D = f / row.den.  The
+        column sums are packed at one width w with 2^(w-1) > sum_i
+        ||F_i||_inf * row_i.norm, which bounds each coefficient of each
+        column's unreduced polynomial; each column is unpacked once and
+        reduced modulo Phi_N like a ``dot`` result."""
+        pairs = list(pairs)
+        for f, row in pairs:
+            if f.field is not self:
+                raise FieldMismatchError(
+                    f"cannot combine {f.field} and {self} values")
+            if row.size != size:
+                raise ValueError("matrix row has the wrong length")
+        den = math.lcm(*[f.den * row.den for f, row in pairs]) if pairs else 1
+        scaled, bound = [], 0
+        for f, row in pairs:
+            if row.norm:        # a zero row adds nothing to any column
+                s = den // (f.den * row.den)
+                scaled.append((s, f.num, row))
+                bound += s * max(map(abs, f.num)) * row.norm
+        w = pack_width(bound)
+        acc = [0] * size
+        for s, num, row in scaled:
+            packed = pack(num, w) * s
+            for j, c, cols in row.terms:
+                term = c * packed << w * j
+                for col in cols:
+                    acc[col] += term
+        count = 2 * self.degree - 1
+        return tuple(self._reduced(unpack(v, w, count), den) for v in acc)
+
+    def _reduced(self, acc: list[int], den: int) -> "CycloNumber":
+        """The number with unreduced numerator ``acc`` (2 phi(N) - 1
+        coefficients, low degree first) over ``den``, reduced modulo Phi_N
+        through the sparse rows x^k mod Phi_N."""
+        d = self.degree
         rows, high = self._rows, acc[d:]
         for k, c in compress(enumerate(high), high):
             for j, r in rows[k]:
@@ -383,19 +525,33 @@ class CycloNumber:
         return result
 
     def invert(self) -> "CycloNumber":
-        """Multiplicative inverse: the product of the other Galois conjugates
-        sigma_k(x), k in (Z/N)^x, divided by the norm N(x), which is rational."""
+        """Multiplicative inverse through the real number u = x * conj(x),
+        or u = x when x is real: x * others = u with others = conj(x) or 1.
+
+        When u is rational, as it is for every root of unity, 1/x =
+        others / u: one substitution and one product.  Otherwise, since u
+        is fixed by complex conjugation, its norm to Q is the product of
+        its conjugates sigma_k(u) over k in (Z/N)^x / {1, -1}, i.e. over
+        the units 1 <= k < N/2, and 1/x = others * prod_(k > 1) sigma_k(u)
+        / N(u): half the conjugates of the full Galois product."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         field = self.field
         if self.is_rational():
             return field.from_rational(1 / self.as_rational())
-        n = field.order
-        others = field.one
-        for k in range(2, n):
-            if math.gcd(k, n) == 1:
-                others = others * field._substitute(self, k)
-        return others * (1 / (self * others).as_rational())
+        others = self.conj()
+        if others == self:
+            u, others = self, field.one
+        else:
+            u = self * others
+        norm = u
+        if not u.is_rational():
+            n = field.order
+            for k in range(2, (n + 1) // 2):
+                if math.gcd(k, n) == 1:
+                    others = others * field._substitute(u, k)
+            norm = self * others
+        return others * (1 / norm.as_rational())
 
     def conj(self) -> "CycloNumber":
         """The automorphism zeta -> zeta^(N-1); complex conjugation on embedding."""

@@ -30,7 +30,7 @@ from .category import (CategoryData, Grading, GradingError, KirbyColor,
                        default_primitive_root, grading, invertibles,
                        kirby_color, refinable_structures)
 from .constructions import reduced_subcategory
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, MatrixRow
 from .surgery import (PlumbingForest, SignaturePair, forest_signature,
                       signature)
 
@@ -150,6 +150,8 @@ class Evaluator:
         self._store_limit = max(
             1, SUBTREE_STORE_BUDGET // (cat.size * cat.field.degree))
         self._subtree_ids = count()
+        self._factors: dict[tuple, list[tuple[int, CycloNumber]]] = {}
+        self._matrix_rows: dict[int, MatrixRow] = {}
         self._unknot_cache: dict[tuple, CycloNumber] = {}
         self._denom_inv: dict[int, CycloNumber] = {}
         self._norms: dict[tuple[int, int], CycloNumber] = {}
@@ -196,6 +198,39 @@ class Evaluator:
         if sign == 1:
             return self.cat.smat[lam]
         return self.cat.smat[self.cat.dual[lam]]
+
+    def _matrix_row(self, lam: int, sign: int) -> MatrixRow:
+        """Row lam of S^sign prepared for `vecmat`, kept per row of smat:
+        S^- row lam is smat row dual(lam)."""
+        i = lam if sign == 1 else self.cat.dual[lam]
+        row = self._matrix_rows.get(i)
+        if row is None:
+            row = self._matrix_rows[i] = MatrixRow(self.cat.field,
+                                                   self.cat.smat[i])
+        return row
+
+    def _vertex_factors(self, vec, framing: int, k: int):
+        """(lam, vec[lam] * theta_lam^framing * qdim_lam^-k) over the
+        support of vec.  An internal vertex's factors (k >= 1) are kept by
+        content and cleared, like the subtree store, once they would hold
+        `SUBTREE_STORE_BUDGET` coefficients.  A leaf's factors are one
+        product by a twist power each, and the subtree store already keys
+        leaves by (vec, framing, sign), so keeping them would mostly cost
+        memory."""
+        key = (vec, framing, k)
+        factors = self._factors.get(key)
+        if factors is None:
+            factors = []
+            for lam in _support(vec):
+                f = vec[lam] * self.theta_power(lam, framing)
+                if k:
+                    f = f * self._qdim_inv_power(lam, k)
+                factors.append((lam, f))
+            if k:
+                if len(self._factors) >= self._store_limit:
+                    self._factors.clear()
+                self._factors[key] = factors
+        return factors
 
     # -- plain evaluation ----------------------------------------------------
 
@@ -270,26 +305,25 @@ class Evaluator:
     def _fold(self, vec, framing: int, sign: int, msgs):
         """A vertex with its children's messages folded in: the message
         to its parent along an edge of `sign`, or at a root (sign 0) the
-        total of its tree.  With f_lam the vertex factor of label lam, each
-        outgoing label lp is one kernel call, the sum over lam of
-        f_lam * S^sign[lam][lp] (f_lam * qdim[lam] for the root total), so
-        it is reduced and normalized once."""
+        total of its tree.  The vertex factors f_lam = vec[lam] *
+        theta_lam^framing * qdim_lam^-(number of messages) come from
+        `_vertex_factors`, so only the messages are multiplied in here.
+        The message is the vector times matrix product, sum over lam of
+        f_lam * S^sign[lam][lp] for all outgoing labels lp at once
+        (`CycloField.vecmat`); the root total is one kernel call, the sum
+        of f_lam * qdim[lam]."""
         terms = []
-        for lam in _support(vec):
-            f = vec[lam] * self.theta_power(lam, framing)
-            if msgs:
-                f = f * self._qdim_inv_power(lam, len(msgs))
-                for msg in msgs:
-                    f = f * msg[lam]
+        for lam, f in self._vertex_factors(vec, framing, len(msgs)):
+            for msg in msgs:
+                f = f * msg[lam]
             if not f.is_zero():
                 terms.append((lam, f))
-        dot = self.cat.field.dot
+        field = self.cat.field
         if not sign:
             qdim = self.cat.qdim
-            return dot((f, qdim[lam]) for lam, f in terms)
-        rows = [(f, self._srow(lam, sign)) for lam, f in terms]
-        return tuple(dot((f, row[lp]) for f, row in rows)
-                     for lp in range(self.cat.size))
+            return field.dot((f, qdim[lam]) for lam, f in terms)
+        return field.vecmat(((f, self._matrix_row(lam, sign))
+                             for lam, f in terms), self.cat.size)
 
     def brute_weighted(self, forest: PlumbingForest, weights) -> CycloNumber:
         """Oracle: direct sum over all colorings, no message passing.

@@ -1,6 +1,7 @@
 """Category data model: axiom battery, invertibles, gradings, refinable
 structures, Kirby colors."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,63 @@ def test_associativity_violations_match_dense_loop(a, b, c, mult):
     rep = check_axioms(broken)
     assert not rep.premodular
     assert [v for v in rep.violations if "associativity" in v] == expected
+
+
+def _channel_associativity_violations(cat):
+    """The associativity check as a triple loop over nonzero channels:
+    (a b) c against a (b c), one message per label d that differs."""
+    n = cat.size
+    chan = cat.fusion_channels
+    out = []
+    for a in range(n):
+        for b in range(n):
+            ab = chan(a, b)
+            for c in range(n):
+                left = [0] * n
+                for e, m1 in ab:
+                    for d, m2 in chan(e, c):
+                        left[d] += m1 * m2
+                right = [0] * n
+                for e, m1 in chan(b, c):
+                    for d, m2 in chan(a, e):
+                        right[d] += m1 * m2
+                for d in range(n):
+                    if left[d] != right[d]:
+                        out.append(
+                            f"fusion associativity fails at ({a},{b},{c};{d})")
+    return out
+
+
+def _corrupted(cat, rng, changes):
+    fusion = [[list(row) for row in plane] for plane in cat.fusion]
+    n = cat.size
+    for _ in range(changes):
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        fusion[a][b][c] = rng.choice([0, 1, 2, 3, 7, 40])
+    return type(cat)(cat.name, cat.field, cat.labels, cat.dual, cat.qdim,
+                     cat.twist, cat.smat, fusion)
+
+
+@pytest.mark.parametrize("name", ["sl2_4", "sl2_5", "sl2_6", "sl2_7",
+                                  "sl2_8", "pointed_6"])
+def test_packed_associativity_matches_the_channel_triple_loop(name):
+    cat = (abelian_category(6, make_root(12, 1)) if name == "pointed_6"
+           else sl2_category(int(name[4:])))
+    assert _channel_associativity_violations(cat) == []
+    rng = random.Random(cat.size)
+    seen_failures = 0
+    for trial in range(12):
+        broken = _corrupted(cat, rng, 1 + trial % 3)
+        expected = _channel_associativity_violations(broken)
+        report = check_axioms(broken).violations
+        got = [v for v in report if "associativity" in v]
+        assert got == expected
+        if got:
+            # one contiguous block, where the triple loop put it
+            first = report.index(got[0])
+            assert report[first:first + len(got)] == got
+            seen_failures += 1
+    assert seen_failures >= 6
 
 
 def test_malformed_data_rejected_before_checking():

@@ -1,6 +1,6 @@
-"""Exact cyclotomic arithmetic: the multiply-accumulate kernel against
-long division by Phi_N, ring axioms, inversion, conjugation, Gauss sums,
-and the complex embedding."""
+"""Exact cyclotomic arithmetic: the multiply-accumulate kernel and the
+packed vector times matrix product against long division by Phi_N, ring
+axioms, inversion, conjugation, Gauss sums, and the complex embedding."""
 
 import math
 import random
@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinmod.cyclo import (CycloNumber, FieldMismatchError, cyclo_field,
-                           cyclotomic_polynomial, euler_phi, gauss_sum,
-                           make_root)
+from spinmod.cyclo import (CycloNumber, FieldMismatchError, MatrixRow,
+                           cyclo_field, cyclotomic_polynomial, euler_phi,
+                           gauss_sum, make_root, pack, pack_width, unpack)
 
 ORDERS = [1, 2, 3, 4, 5, 8, 12, 20, 24, 30, 32, 45, 60, 120]
 
@@ -289,3 +289,145 @@ def test_numbers_are_canonical_for_any_sign_of_denominator():
         x = CycloNumber(field, nums, den)
         assert_canonical(x)
         assert x.coeffs == tuple(Fraction(v, den) for v in nums)
+
+
+def galois_norm(x):
+    """The product of all Galois conjugates of x, each by substitution."""
+    field, n = x.field, x.field.order
+    norm = field.one
+    for k in range(1, n + 1):
+        if math.gcd(k, n) == 1:
+            norm = norm * field._substitute(x, k)
+    return norm
+
+
+def real_units(field):
+    """Up to three irrational real units of Z[zeta]: quantum integers
+    [m] at q = zeta and the numbers a + zeta^k + zeta^-k, kept when their
+    norm is +-1."""
+    n = field.order
+    candidates = [sum((field.zeta(m - 1 - 2 * i) for i in range(m)),
+                      field.zero) for m in range(2, n)]
+    candidates += [a + field.zeta(k) + field.zeta(-k)
+                   for k in range(1, n) for a in range(-2, 3)]
+    out = []
+    for x in candidates:
+        if (not x.is_rational() and x not in out
+                and abs(galois_norm(x).as_rational()) == 1):
+            out.append(x)
+            if len(out) == 3:
+                break
+    return out
+
+
+@pytest.mark.parametrize("n", KERNEL_ORDERS)
+def test_inverse_of_roots_of_unity_real_units_and_non_units(n):
+    field = cyclo_field(n)
+    roots = [field.zeta(k) for k in range(n)]
+    units = real_units(field)
+    assert all(x.conj() == x for x in units)
+    if field.degree >= 4:
+        assert units
+    others = [x for x in kernel_operands(field, random.Random(3000 + n))
+              if not x.is_zero()]
+    others += [2 + field.zeta(1), (3 + field.zeta(1)) * (2**70 + 1)]
+    for x in roots + units + others:
+        inv = x.invert()
+        assert x * inv == 1
+        assert inv * x == 1
+        assert_canonical(inv)
+    for k in range(n):
+        assert field.zeta(k).invert() == field.zeta(-k)
+
+
+# -- the packed vector times matrix product -----------------------------------
+
+def test_pack_width_is_the_least_that_holds_the_bound():
+    assert pack_width(0) == 8
+    for w in (8, 16, 32, 64, 128, 256):
+        assert pack_width(2 ** (w - 1) - 1) == w
+        assert pack_width(2 ** (w - 1)) == 2 * w
+
+
+@pytest.mark.parametrize("w", [8, 16, 32, 64, 128, 256])
+def test_pack_and_unpack_are_inverse_at_the_extreme_digits(w):
+    top = 2 ** (w - 1)
+    digits = [top - 1, -top, 0, -1, 1, -(top - 1), top - 1, -top]
+    rng = random.Random(w)
+    digits += [rng.randrange(-top, top) for _ in range(20)]
+    for cut in (1, 2, 8, len(digits)):
+        part = digits[:cut]
+        value = pack(part, w)
+        assert value == sum(c << (w * k) for k, c in enumerate(part))
+        assert unpack(value, w, cut) == part
+
+
+def column_oracle(pairs, col):
+    """sum f * row[col] from schoolbook products and long division."""
+    acc = [Fraction(0)] * pairs[0][0].field.degree if pairs else []
+    for f, row in pairs:
+        acc = [x + y for x, y in zip(acc, oracle_product(f, row[col]))]
+    return tuple(acc)
+
+
+def vecmat_operands(field, rng):
+    """kernel_operands, and the same values scaled past 2^64."""
+    values = kernel_operands(field, rng)
+    big = [x * (2**70 + rng.randrange(1, 1000)) for x in values[1:4]]
+    return values + big + [values[4].scale(Fraction(1, 2**66 + 1))]
+
+
+@pytest.mark.parametrize("n", KERNEL_ORDERS)
+def test_vecmat_matches_dot_and_long_division(n):
+    field = cyclo_field(n)
+    rng = random.Random(4000 + n)
+    values = vecmat_operands(field, rng)
+    size = 4
+    assert field.vecmat([], size) == (field.zero,) * size
+    zero_row = MatrixRow(field, [field.zero] * size)
+    assert field.vecmat([(values[-2], zero_row)], size) == (field.zero,) * size
+    for length in (1, 2, 3, 6):
+        for trial in range(5):
+            vec = [rng.choice(values) for _ in range(length)]
+            if trial == 0:
+                vec[0] = field.zero
+            rows = [[rng.choice(values) for _ in range(size)]
+                    for _ in range(length)]
+            pairs = list(zip(vec, rows))
+            got = field.vecmat(((f, MatrixRow(field, row))
+                                for f, row in pairs), size)
+            assert len(got) == size
+            for col, x in enumerate(got):
+                assert x == field.dot((f, row[col]) for f, row in pairs)
+                assert x.coeffs == column_oracle(pairs, col)
+                assert_canonical(x)
+
+
+@pytest.mark.parametrize("w", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("n", [1, 12, 96])
+def test_vecmat_at_the_edge_of_the_width(n, w):
+    """Two terms over rows of l1 norm 1 attain the width bound exactly: a
+    column coefficient of +-(2^(w-1) - 1) is the largest that width w
+    holds, and one of +-2^(w-1) needs the next width."""
+    field = cyclo_field(n)
+    ones = MatrixRow(field, [field.one, -field.zeta(1)])
+    top = 2 ** (w - 1)
+    for total in (top - 1, top):
+        for sign in (1, -1):
+            third = total // 3
+            parts = [third, total - third]
+            got = field.vecmat([(field.from_integer(sign * p), ones)
+                                for p in parts], 2)
+            assert got == (field.from_integer(sign * total),
+                           -field.zeta(1) * (sign * total))
+
+
+def test_vecmat_rejects_numbers_of_another_field_and_short_rows():
+    field = cyclo_field(8)
+    row = MatrixRow(field, [field.one, field.one])
+    with pytest.raises(FieldMismatchError):
+        field.vecmat([(make_root(4, 1), row)], 2)
+    with pytest.raises(FieldMismatchError):
+        MatrixRow(field, [make_root(4, 1)])
+    with pytest.raises(ValueError):
+        field.vecmat([(field.one, row)], 3)

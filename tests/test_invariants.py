@@ -12,7 +12,7 @@ import pytest
 from spinmod.category import kirby_color
 from spinmod.constructions import abelian_category, sl2_category
 from spinmod.corpus import corpus, e8_forest, random_forest
-from spinmod.cyclo import cyclo_field, make_root
+from spinmod.cyclo import CycloField, cyclo_field, make_root
 from spinmod import invariants, structures
 from spinmod.invariants import (Evaluator, InvariantError, MooError,
                                 MooParams, NormalizationError,
@@ -81,6 +81,28 @@ def test_weighted_oracle_agreement():
         f = random_forest(rng, max_vertices=4, max_framing=3)
         weights = [kirby_color(cat, "plain")] * f.n
         assert ev.eval_weighted(f, weights) == ev.brute_weighted(f, weights)
+
+
+def test_brute_weighted_never_calls_the_packed_product(monkeypatch):
+    # the oracle stays independent of the fold's packed S-transform
+    cat = sl2_category(6)
+    ev = Evaluator(cat)
+    rng = random.Random(5)
+    cases = []
+    for _ in range(6):
+        f = random_forest(rng, max_vertices=4, max_framing=3)
+        weights = [kirby_color(cat, "plain")] * f.n
+        cases.append((f, weights, ev.eval_weighted(f, weights)))
+
+    def refuse(*args):
+        raise AssertionError("brute_weighted reached CycloField.vecmat")
+
+    monkeypatch.setattr(CycloField, "vecmat", refuse)
+    for f, weights, want in cases:
+        assert ev.brute_weighted(f, weights) == want
+    with pytest.raises(AssertionError, match="vecmat"):
+        Evaluator(cat).eval_weighted(chain([1, 2]),
+                                     [kirby_color(cat, "plain")] * 2)
 
 
 def test_brute_weighted_is_the_sum_of_colored_values(ev5):
