@@ -10,7 +10,10 @@ refinability -- all in exact arithmetic.
 
 Fusion multiplicities are part of the input data rather than derived:
 they make invertibility detection, degree additivity and cocycle lifts
-exact and decidable.
+exact and decidable.  The monodromy chi_lam(g) = smat[lam][g] /
+(qdim(lam) qdim(g)) is z exactly when smat[lam][g] = z qdim(lam) qdim(g);
+that product test decides gradings, transparency and refinability
+without inverting a quantum dimension.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class CategoryData:
     """
 
     __slots__ = ("name", "field", "labels", "dual", "qdim", "twist", "smat",
-                 "fusion", "_channels")
+                 "fusion")
 
     def __init__(self, name: str, field: CycloField, labels, dual, qdim,
                  twist, smat, fusion):
@@ -59,7 +62,6 @@ class CategoryData:
         self.smat = tuple(tuple(row) for row in smat)
         self.fusion = tuple(tuple(tuple(row) for row in plane)
                             for plane in fusion)
-        self._channels: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self._validate_shapes()
 
     @property
@@ -98,12 +100,7 @@ class CategoryData:
 
     def fusion_channels(self, a: int, b: int) -> tuple[tuple[int, int], ...]:
         """Nonzero fusion channels of a (x) b as (label, multiplicity) pairs."""
-        key = (a, b)
-        chans = self._channels.get(key)
-        if chans is None:
-            chans = tuple((c, m) for c, m in enumerate(self.fusion[a][b]) if m)
-            self._channels[key] = chans
-        return chans
+        return tuple((c, m) for c, m in enumerate(self.fusion[a][b]) if m)
 
     def __repr__(self) -> str:
         return f"CategoryData({self.name!r}, |labels|={self.size}, N={self.field.order})"
@@ -414,29 +411,17 @@ def invertibles(cat: CategoryData) -> InvertibleGroup:
     )
 
 
-def character_value(cat: CategoryData, lam: int, g: int,
-                    _inv_cache: dict | None = None) -> CycloNumber:
-    """Monodromy character chi_lam(g) = smat[lam][g] / (qdim(lam) qdim(g)).
+def _has_monodromy(cat: CategoryData, lam: int, g: int, z: CycloNumber
+                   ) -> bool:
+    """Whether the monodromy chi_lam(g) = smat[lam][g] / (qdim(lam) qdim(g))
+    equals z, decided without dividing: smat[lam][g] == z qdim(lam) qdim(g).
 
     Raises GradingError when qdim(lam) qdim(g) = 0 (corrupt data)."""
-    denom = cat.qdim[lam] * cat.qdim[g]
-    inv = None if _inv_cache is None else _inv_cache.get(denom)
-    if inv is None:
-        if denom.is_zero():
-            zero = lam if cat.qdim[lam].is_zero() else g
-            raise GradingError(f"qdim of label {zero} is zero (corrupt data)")
-        inv = denom.invert()
-        if _inv_cache is not None:
-            _inv_cache[denom] = inv
-    return cat.smat[lam][g] * inv
-
-
-def character_table(cat: CategoryData, group: InvertibleGroup
-                    ) -> dict[tuple[int, int], CycloNumber]:
-    """All character values chi_lam(g) for lam in the label set, g invertible."""
-    cache: dict = {}
-    return {(lam, g): character_value(cat, lam, g, cache)
-            for lam in range(cat.size) for g in group.elements}
+    dims = cat.qdim[lam] * cat.qdim[g]
+    if dims.is_zero():
+        zero = lam if cat.qdim[lam].is_zero() else g
+        raise GradingError(f"qdim of label {zero} is zero (corrupt data)")
+    return cat.smat[lam][g] == z * dims
 
 
 @dataclass
@@ -469,9 +454,11 @@ def grading(cat: CategoryData, group: InvertibleGroup,
             e_d: CycloNumber | None = None) -> Grading:
     """Compute degrees with respect to a cyclic (sub)group of invertibles.
 
-    Raises GradingError if the group is not cyclic (use ``character_table``
-    directly in that case) or if some character value is not a power of
-    ``e_d`` (corrupt data).
+    The degree of lam is the k with chi_lam(t) = e_d^k, found by the
+    multiplicative test smat[lam][t] == e_d^k qdim(lam) qdim(t), so no
+    quantum dimension is inverted.  Raises GradingError if the group is
+    not cyclic, if some qdim(lam) qdim(t) is zero, or if some character
+    value is not a power of ``e_d`` (corrupt data).
     """
     t = generator if generator is not None else group.generator
     if t is None:
@@ -488,11 +475,10 @@ def grading(cat: CategoryData, group: InvertibleGroup,
         cur = cur * e_d
     if not cur.is_one():
         raise GradingError("e_d is not a d-th root of unity")
-    cache: dict = {}
     degree = []
     for lam in range(cat.size):
-        chi = character_value(cat, lam, t, cache)
-        k = powers.get(chi)
+        k = next((k for z, k in powers.items()
+                  if _has_monodromy(cat, lam, t, z)), None)
         if k is None:
             raise GradingError(
                 f"character of label {lam} is not a power of e_d (corrupt data)")
@@ -524,13 +510,14 @@ def refinable_structures(cat: CategoryData,
                          group: InvertibleGroup | None = None
                          ) -> list[RefinableStructure]:
     """Enumerate subgroups H of the invertibles with trivial degree, i.e.
-    trivial monodromy against every invertible, marked spin or non-spin."""
+    trivial monodromy against every invertible, marked spin or non-spin.
+    Only invertible x invertible monodromies are read."""
     if group is None:
         group = invertibles(cat)
-    chars = character_table(cat, group)
     one = cat.field.one
     trivial_degree = [g for g in group.elements
-                      if all(chars[(g, h)] == one for h in group.elements)]
+                      if all(_has_monodromy(cat, g, h, one)
+                             for h in group.elements)]
     subgroups = _all_subgroups(group, trivial_degree)
     result = []
     for elems in subgroups:

@@ -26,7 +26,7 @@ from itertools import count, product
 
 from . import structures, surgery
 from .category import (CategoryData, Grading, GradingError, KirbyColor,
-                       RefinableStructure, character_value,
+                       RefinableStructure, _has_monodromy,
                        default_primitive_root, grading, invertibles,
                        kirby_color, refinable_structures)
 from .constructions import reduced_subcategory
@@ -497,7 +497,8 @@ class Evaluator:
         one set per grading of modulus g: the characteristic solutions of
         L s = (g/2) diag(L) mod g when the generator has twist -1, the
         kernel of L mod g otherwise.  Entries are keyed by the concatenated
-        vectors."""
+        vectors; a product whose |points| x n exceeds the enumeration
+        budget is refused before any point is built."""
         mat = forest.linking_matrix()
         sig = forest_signature(forest)
         minus_one = -self.cat.field.one
@@ -505,6 +506,11 @@ class Evaluator:
                  if self.cat.twist[g.generator] == minus_one
                  else structures.cohomology_classes)(mat, g.modulus).solutions
                 for g in grads]
+        count = math.prod(map(len, sets))
+        if count * forest.n > structures.ENUMERATION_LIMIT:
+            raise RefinementError(f"product of {len(sets)} structure sets, "
+                                  f"{count} points of {forest.n} vertices, "
+                                  "exceeds size limit")
         points = [sum(combo, ()) for combo in product(*sets)]
         raw = self._graded_values(grads, forest, points)
         return RefinedInvariantTable(
@@ -590,8 +596,8 @@ class Evaluator:
         for g in generators:
             if g not in group.elements:
                 raise RefinementError(f"label {g} is not invertible")
-            if any(character_value(self.cat, g, h) != one
-                   for h in group.elements):
+            if not all(_has_monodromy(self.cat, g, h, one)
+                       for h in group.elements):
                 raise RefinementError(
                     f"generator {g} has nontrivial degree; the subgroup is "
                     "not refinable")
@@ -646,19 +652,10 @@ class MooParams:
     alpha: int = 1
 
 
-def _root_order(xi: CycloNumber, bound: int) -> int:
-    cur = xi
-    for k in range(1, bound + 1):
-        if cur.is_one():
-            return k
-        cur = cur * xi
-    raise MooError(f"xi is not a root of unity of order <= {bound}")
-
-
-def _check_enumeration_budget(mat, values, bound: int):
+def _check_enumeration_budget(mat, values, bound: int, tree):
     """Refuse an oversized Gauss sum before any work; otherwise return the
-    plan `_quadratic_sum` runs: the `_forest_order` of `mat`, or None for
-    the dense loop.
+    plan `_quadratic_sum` runs: `tree`, the `_forest_order` of `mat`, or
+    None for the dense loop.
 
     The dense loop is charged prod |values[v]| vectors, the forest pass
     n * base^2 * bound with base = max |values[v]| (about the integer work
@@ -668,7 +665,6 @@ def _check_enumeration_budget(mat, values, bound: int):
     n = len(mat)
     base = max(map(len, values), default=0)
     dense = math.prod(map(len, values))
-    tree = _forest_order(mat)
     if tree is not None and n * base * base * bound < dense:
         if n * base * base * bound > structures.ENUMERATION_LIMIT:
             raise MooError(f"Gauss sum on a forest of {n} vertices with "
@@ -688,6 +684,19 @@ def _forest_order(mat) -> tuple[list[int], list[int]] | None:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
              if mat[i][j] or mat[j][i]]
     return surgery._forest_order(n, pairs)
+
+
+def _matrix_signature(mat, tree) -> SignaturePair:
+    """Inertia of `mat` by leaf elimination on its `_forest_order` `tree`,
+    or by `signature` when that is None (a cycle)."""
+    if tree is None:
+        return signature(mat)
+    parent, order = tree
+    return surgery._leaf_elimination(
+        [mat[v][v] for v in range(len(mat))],
+        [mat[p][v] * mat[v][p] if p >= 0 else 0
+         for v, p in enumerate(parent)],
+        parent, order)
 
 
 def _dense_counts(mat, values, order: int) -> dict[int, int]:
@@ -751,19 +760,18 @@ def _forest_counts(mat, values, order: int, tree) -> dict[int, int]:
     return total
 
 
-def _quadratic_sum(mat, values, xi: CycloNumber, order: int,
+def _quadratic_sum(mat, values, pows: list[CycloNumber],
                    tree) -> CycloNumber:
-    """sum over l in prod values of xi^(l L l), with xi of order `order`.
+    """sum over l in prod values of xi^(l L l), with pows[e] = xi^e for
+    every residue e mod the order of xi.
 
     The exponents are counted in integers, by `_forest_counts` when `tree`
     (from `_check_enumeration_budget`) is a forest plan and by the dense
     loop otherwise; the only cyclotomic arithmetic is sum counts[e] xi^e."""
+    order = len(pows)
     counts = (_dense_counts(mat, values, order) if tree is None
               else _forest_counts(mat, values, order, tree))
-    pows = [xi.field.one]
-    for _ in range(order - 1):
-        pows.append(pows[-1] * xi)
-    total = xi.field.zero
+    total = pows[0].field.zero
     for e, c in counts.items():
         total = total + pows[e] * c
     return total
@@ -789,7 +797,9 @@ def moo_refined(mat: structures.LinkingMatrix, params: MooParams,
     sum_v f_v gamma_v^2 + sum_(edges p-c) (L_pc + L_cp) gamma_p gamma_c,
     and the sum of xi^(gamma L gamma) is counted by one integer pass over
     the forest in about n (alpha m)^2 order operations instead of
-    (alpha m)^n (`_quadratic_sum`)."""
+    (alpha m)^n (`_quadratic_sum`), and a missing ``sig`` comes from the
+    same `_forest_order` by leaf elimination.  The normalizing sum is the
+    quadratic sum of the 1x1 form [1], over the same powers of xi."""
     m, xi, delta, alpha = params.m, params.xi, params.delta, params.alpha
     if m < 1 or delta < 1 or alpha < 1:
         raise MooError("m, delta, alpha must be positive")
@@ -799,16 +809,20 @@ def moo_refined(mat: structures.LinkingMatrix, params: MooParams,
     big = alpha * delta * m
     values = [range(c % delta, c % delta + big, delta) for c in klass]
     bound = big if (delta * m) % 2 else 2 * big
-    tree = _check_enumeration_budget(mat, values, bound)
+    tree = _forest_order(mat)
+    plan = _check_enumeration_budget(mat, values, bound, tree)
     if not (xi ** bound).is_one():
         raise MooError(f"xi^{bound} != 1: wrong root order for range Z_{big}")
-    order = _root_order(xi, bound)
     if sig is None:
-        sig = signature(mat)
-    total = _quadratic_sum(mat, values, xi, order, tree)
-    g = xi.field.zero
-    for gamma in range(0 if delta % 2 else delta // 2, big, delta):
-        g = g + xi ** ((gamma * gamma) % order)
+        sig = _matrix_signature(mat, tree)
+    pows = [xi.field.one, xi]   # xi^0 .. xi^(order - 1)
+    while not pows[-1].is_one():
+        pows.append(pows[-1] * xi)
+    pows.pop()
+    total = _quadratic_sum(mat, values, pows, plan)
+    # the normalizing sum is the quadratic sum of the 1x1 form [1]
+    g = _quadratic_sum(((1,),), [range(0 if delta % 2 else delta // 2, big,
+                                       delta)], pows, None)
     gbar = g.conj()
     if g.is_zero() or gbar.is_zero():
         raise MooError("vanishing refined Gauss sum; invariant undefined")
@@ -872,16 +886,15 @@ def decomposition_check(cat: CategoryData, forest: PlumbingForest,
                         evaluator: Evaluator | None = None,
                         reduced_evaluator: Evaluator | None = None) -> dict:
     """Exact test of tau_C = tau_reduced * moo on one manifold; returns a
-    witness record."""
+    witness record.  The signature comes from `forest_signature`."""
     if data is None:
         data = decomposition_data(cat)
     ev = evaluator or Evaluator(cat)
     red_ev = reduced_evaluator or Evaluator(data.reduced)
-    mat = forest.linking_matrix()
-    sig = signature(mat)
+    sig = forest_signature(forest)
     full = ev.wrt(forest)
     part = red_ev.wrt(forest)
-    gauss = moo(mat, data.m, data.xi, sig)
+    gauss = moo(forest.linking_matrix(), data.m, data.xi, sig)
     rhs = part.exact * cat.field.embed(gauss.exact) \
         if gauss.exact.field is not cat.field else part.exact * gauss.exact
     return {

@@ -26,8 +26,8 @@ from itertools import product
 
 LinkingMatrix = tuple[tuple[int, ...], ...]
 
-# Full enumerations beyond this many candidates are refused with a clear
-# error instead of silently grinding.
+# Full enumerations whose output (vectors x coordinates) would exceed this
+# are refused with a clear error, from their counts, before they start.
 ENUMERATION_LIMIT = 1 << 24
 
 
@@ -164,15 +164,17 @@ class GeneratedCoset:
         return math.prod(self.orders)
 
     def points(self) -> list[tuple[int, ...]]:
-        """Every point, in lexicographic order of k; refused over budget.
+        """Every point, in lexicographic order of k; refused when count x n
+        coordinates exceeds the budget.
 
         Built one coordinate column at a time: each generator expands every
         entry x of a column into x, x + g, x + 2g, ... (mod modulus), read
         from a table over the residues the column holds, so the work stays
         within the size of the output; the columns zip into points."""
-        if self.count > ENUMERATION_LIMIT:
-            raise StructureError(f"enumeration of {self.count} vectors "
-                                 "exceeds size limit")
+        if self.count * max(1, len(self.offset)) > ENUMERATION_LIMIT:
+            raise StructureError(f"enumeration of {self.count} vectors of "
+                                 f"{len(self.offset)} coordinates exceeds "
+                                 "size limit")
         if not self.offset:
             return [()] * self.count
         d = self.modulus
@@ -378,9 +380,9 @@ def homology_representatives(mat: LinkingMatrix, d: int
     representatives, and no vector outside it is visited."""
     pivots = howell_pivots(mat, d)
     count = math.prod(pivots)
-    if count > ENUMERATION_LIMIT:
-        raise StructureError(f"enumeration of {count} homology classes "
-                             "exceeds size limit")
+    if count * len(pivots) > ENUMERATION_LIMIT:
+        raise StructureError(f"enumeration of {count} homology classes of "
+                             f"{len(pivots)} coordinates exceeds size limit")
     return tuple(product(*[range(a) for a in pivots]))
 
 

@@ -8,10 +8,11 @@ twists and quantum dimensions alone, which keeps every computation exact.
 Handle slides leave the class and are therefore not forest operations;
 the move set here is stabilization, blow-up/blow-down (the Fenn-Rourke
 composite) and per-vertex orientation reversal, which generate enough
-Kirby equivalences for machine verification.  Signatures are computed
-exactly, by leaf elimination on a forest and by rational congruence on any
-symmetric matrix, never by floating eigenvalues: eigenvalue sign counts
-feed exponents of invertible numbers, where an off-by-one is catastrophic.
+Kirby equivalences for machine verification.  Signatures are exact, by
+one O(n) leaf elimination for every matrix whose off-diagonal support is
+a forest and by O(n^3) rational congruence for one with a cycle (and as
+the oracle), never by floating eigenvalues: eigenvalue sign counts feed
+exponents of invertible numbers, where an off-by-one is catastrophic.
 """
 
 from __future__ import annotations
@@ -189,39 +190,47 @@ def signature(mat: structures.LinkingMatrix) -> SignaturePair:
     return SignaturePair(b_plus, b_minus, 0)
 
 
-def forest_signature(f: PlumbingForest) -> SignaturePair:
-    """`signature(f.linking_matrix())` by leaf elimination, O(n) Fractions.
+def _leaf_elimination(diag, edge, parent, order) -> SignaturePair:
+    """Inertia of a symmetric matrix whose off-diagonal support is a forest
+    with `_forest_order` (parent, order): diagonal ``diag``, and ``edge[v]``
+    = L_pv L_vp to the parent p (0 at a root).
 
-    Leaves first, a vertex whose children are eliminated has the pivot
-    a_v = f_v - sum_children 1/a_c (edge signs square away).  A nonzero
-    pivot counts its sign and passes -1/a_v to the parent.  A zero pivot
-    under a live parent p spans a hyperbolic block with p: one eigenvalue
-    of each sign, and congruence clears p's other entries, so p is cut
-    and drops out.  A zero pivot at a root or under a cut parent is
-    isolated and counts nullity.
+    Leaves first (an elimination order with no fill), a vertex whose
+    children are eliminated has the pivot a_v = diag_v - sum_c edge_c/a_c.
+    A nonzero pivot counts its sign and passes edge_v/a_v to the parent.
+    A zero pivot under a live parent p spans a hyperbolic block with p:
+    one eigenvalue of each sign, and congruence clears p's other entries,
+    so p is cut and drops out.  A zero pivot at a root or under a cut
+    parent is isolated and counts nullity.
     """
-    parent, _, order = f.rooted
-    a = [Fraction(m) for m in f.framings]
-    cut = [False] * f.n
+    a = [Fraction(x) for x in diag]
+    cut = [False] * len(a)
     b_plus = b_minus = nullity = 0
     for v in order:
         if cut[v]:
             continue
-        p, x = parent[v], a[v]
+        p, x, e = parent[v], a[v], edge[v]
         if x:
             if x > 0:
                 b_plus += 1
             else:
                 b_minus += 1
-            if p >= 0:
-                a[p] -= 1 / x
-        elif p >= 0 and not cut[p]:
+            if e:
+                a[p] -= e / x
+        elif e and not cut[p]:
             b_plus += 1
             b_minus += 1
             cut[p] = True
         else:
             nullity += 1
     return SignaturePair(b_plus, b_minus, nullity)
+
+
+def forest_signature(f: PlumbingForest) -> SignaturePair:
+    """`signature(f.linking_matrix())` in O(n) Fractions: the leaf
+    elimination with every edge term (+-1)^2 = 1."""
+    parent, sign, order = f.rooted
+    return _leaf_elimination(f.framings, [s * s for s in sign], parent, order)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Category data model: axiom battery, invertibles, gradings, refinable
 structures, Kirby colors."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,13 +10,14 @@ import pytest
 from spinmod import category
 from spinmod.category import (GradingError, MalformedCategoryError,
                               _prime_and_root_powers, _rank, _rank_mod_p,
-                              character_table, check_axioms,
-                              default_primitive_root, grading, invertibles,
-                              kirby_color, refinable_structures)
+                              check_axioms, default_primitive_root, grading,
+                              invertibles, kirby_color, refinable_structures)
 from spinmod.constructions import (abelian_category, extend_category,
                                    product_category, sl2_category,
                                    trivial_category)
-from spinmod.cyclo import cyclo_field, make_root
+from spinmod.cyclo import CycloNumber, cyclo_field, make_root
+from spinmod.invariants import Evaluator
+from spinmod.surgery import forest
 
 
 def test_one_object_category_is_modular():
@@ -283,10 +285,121 @@ def test_grading_degree_additivity():
             assert (grad.degree[cat.dual[a]] + grad.degree[a]) % d == 0
 
 
+def _chi(cat, lam, g):
+    """The monodromy by division, S / (d d): the oracle for the
+    multiplicative test the package uses."""
+    return cat.smat[lam][g] * (cat.qdim[lam] * cat.qdim[g]).invert()
+
+
+def _oracle_degrees(cat, d, t, e_d):
+    powers = {}
+    cur = cat.field.one
+    for k in range(d):
+        powers[cur] = k
+        cur = cur * e_d
+    return tuple(powers[_chi(cat, lam, t)] for lam in range(cat.size))
+
+
+def _oracle_trivial_degree(cat, group):
+    one = cat.field.one
+    return [g for g in group.elements
+            if all(_chi(cat, g, h) == one for h in group.elements)]
+
+
+def _grading_cases():
+    for r in range(3, 17):
+        yield f"sl2_{r}", lambda r=r: sl2_category(r)
+    for n in range(1, 9):
+        root = n if n % 2 else 2 * n   # q^n = 1 (n odd), q^2n = 1 (n even)
+        for k in (1, 2):
+            yield (f"abelian_{n}_q{k}",
+                   lambda n=n, k=k, root=root:
+                   abelian_category(n, make_root(root, k)))
+    for name, build, _ in RANK_CASES:
+        if name.startswith("ext_"):
+            yield name, build
+    yield ("product_sl2_4_sl2_6",
+           lambda: product_category(sl2_category(4), sl2_category(6)))
+
+
+GRADING_CASES = list(_grading_cases())
+
+
+@pytest.mark.parametrize("build", [c[1] for c in GRADING_CASES],
+                         ids=[c[0] for c in GRADING_CASES])
+def test_gradings_and_trivial_degrees_match_the_division_oracle(
+        build, monkeypatch):
+    cat = build()
+    group = invertibles(cat)
+    pools = []
+    all_subgroups = category._all_subgroups
+
+    def spy(group, pool):
+        pools.append(list(pool))
+        return all_subgroups(group, pool)
+
+    monkeypatch.setattr(category, "_all_subgroups", spy)
+    refinable_structures(cat, group)
+    assert pools == [_oracle_trivial_degree(cat, group)]
+    t = group.generator
+    if t is None:
+        with pytest.raises(GradingError, match="not cyclic"):
+            grading(cat, group)
+        return
+    d = group.element_orders[t]
+    for k in range(1, d + 1):
+        if math.gcd(k, d) == 1:
+            e_d = default_primitive_root(cat.field, d, k)
+            grad = grading(cat, group, t, e_d)
+            assert grad.degree == _oracle_degrees(cat, d, t, e_d), k
+
+
+def test_zero_dimensions_and_foreign_characters_are_grading_errors():
+    cat = sl2_category(6)
+    group = invertibles(cat)
+    qdim = list(cat.qdim)
+    qdim[2] = cat.field.zero
+    broken = type(cat)(cat.name, cat.field, cat.labels, cat.dual, qdim,
+                       cat.twist, cat.smat, cat.fusion)
+    with pytest.raises(GradingError,
+                       match=r"^qdim of label 2 is zero \(corrupt data\)$"):
+        grading(broken, group)
+    smat = [list(row) for row in cat.smat]
+    smat[3][group.generator] = smat[3][group.generator] * cat.field.zeta(1)
+    broken = type(cat)(cat.name, cat.field, cat.labels, cat.dual, cat.qdim,
+                       cat.twist, smat, cat.fusion)
+    with pytest.raises(GradingError, match="character of label 3 is not a "
+                       r"power of e_d \(corrupt data\)"):
+        grading(broken, group)
+
+
+def test_monodromy_tests_invert_nothing(monkeypatch):
+    cat = sl2_category(6)
+    group = invertibles(cat)
+    t = group.generator
+    f = forest([1, -2, 0], [(0, 1, 1), (1, 2, -1)])
+    ev = Evaluator(cat)
+    ev.wrt(f)   # warms every inverse the evaluation itself needs
+    inverts = []
+    invert = CycloNumber.invert
+
+    def spy(x):
+        inverts.append(x)
+        return invert(x)
+
+    monkeypatch.setattr(CycloNumber, "invert", spy)
+    grading(cat, group)
+    refinable_structures(cat, group)
+    table = ev.wrt_generalized_spin(f, [t])
+    assert inverts == []
+    assert table.entries
+
+
 def test_characters_are_roots_of_unity_of_dividing_order():
     cat = sl2_category(6)
     group = invertibles(cat)
-    chars = character_table(cat, group)
+    chars = {(lam, g): _chi(cat, lam, g)
+             for lam in range(cat.size) for g in group.elements}
     for (lam, g), chi in chars.items():
         assert (chi ** group.element_orders[g]).is_one()
     # multiplicativity on the group

@@ -3,9 +3,11 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -499,23 +501,44 @@ def test_cli_usage_errors_are_one_line(monkeypatch):
         run_cli("verify", "bijection", "--seed", "11")
 
 
-@pytest.mark.parametrize("refine", ["coh", "hom"])
-def test_cli_oversized_structure_set_exits_2_before_enumerating(refine,
+ZERO_24 = json.dumps([[0] * 24] * 24)
+OVERSIZED = {
+    "structures_coh": ["structures", "coh", "--d", "2", "--matrix", ZERO_24],
+    "structures_spin": ["structures", "spin", "--d", "2", "--matrix", ZERO_24],
+    **{refine: ["invariant", "--category", f"builtin:sl2:{r}", "--refine",
+                refine, "--d", "2"]
+       for refine, r in (("hom", 6), ("coh", 6), ("spin", 8))},
+}
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("case", list(OVERSIZED))
+def test_cli_oversized_structure_set_exits_2_before_enumerating(case,
                                                                 tmp_path):
-    # 25 unlinked 0-framed unknots: ker(L mod 2) has 2^25 elements, over
-    # the enumeration budget; the refusal must come before any walk
-    forest_file = tmp_path / "unknots.forest"
-    forest_file.write_text("".join(f"vertex {v} framing 0\n"
-                                   for v in range(25)))
-    argv = ["invariant", "--category", "builtin:sl2:6", "--manifold",
-            str(forest_file), "--refine", refine, "--d", "2"]
+    # 24 unlinked 0-framed unknots: ker(L mod 2) has exactly 2^24 vectors
+    # of 24 coordinates, over the enumeration budget; the refusal must come
+    # from the counts, before any walk, within a 1 GB address space
+    argv = OVERSIZED[case]
+    if argv[0] == "invariant":
+        forest_file = tmp_path / "unknots.forest"
+        forest_file.write_text("".join(f"vertex {v} framing 0\n"
+                                       for v in range(24)))
+        argv = argv + ["--manifold", str(forest_file)]
+    start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "spinmod.cli", *argv],
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
-                          capture_output=True, text=True, timeout=20)
-    assert proc.returncode == 2
+                          capture_output=True, text=True, timeout=20,
+                          preexec_fn=_cap_address_space)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
     assert len(errors) == 1 and "exceeds size limit" in errors[0]
+    assert elapsed < 2
 
 
 def test_cli_verify_reports_are_seed_deterministic():

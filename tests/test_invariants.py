@@ -20,8 +20,8 @@ from spinmod.invariants import (Evaluator, InvariantError, MooError,
                                 decomposition_data, delta_weight, moo,
                                 moo_refined)
 from spinmod.structures import ENUMERATION_LIMIT, as_matrix
-from spinmod.surgery import apply_move, chain, forest, reverse, signature, \
-    stabilize
+from spinmod.surgery import apply_move, chain, forest, forest_signature, \
+    reverse, signature, stabilize
 
 
 @pytest.fixture(scope="module")
@@ -478,6 +478,23 @@ def test_hom_table_on_a_30_vertex_tree(ev6):
     assert table.total() == ev6.normalize(degree0, signature(mat)).exact
 
 
+def test_generalized_spin_product_is_refused_before_any_evaluation(
+        monkeypatch):
+    # each set has 2^12 points of 12 coordinates, within budget; their
+    # product, 2^24 points, is not
+    ev = Evaluator(sl2_category(6))
+    t = ev.structure_grading(2, spin=False).generator
+    f = forest([0] * 12)
+    evaluated = []
+    monkeypatch.setattr(Evaluator, "eval_weighted",
+                        lambda self, *args: evaluated.append(args))
+    # building the product at all would take gigabytes: fail first
+    monkeypatch.setattr(invariants, "product", _unexpected_path)
+    with pytest.raises(RefinementError, match="exceeds size limit"):
+        ev.wrt_generalized_spin(f, [t, t])
+    assert evaluated == []
+
+
 def test_moo_examples():
     xi = make_root(4, 1)
     assert moo(as_matrix([[1]]), 2, xi).exact.is_one()
@@ -568,8 +585,15 @@ def test_moo_of_the_empty_matrix_is_one():
 
 def test_moo_on_30_vertex_trees_matches_the_pointed_category(monkeypatch):
     # m^30 vectors were over the dense budget; the forest pass is checked
-    # against the tree evaluator over the pointed category Z_m
-    monkeypatch.setattr(invariants, "_dense_counts", _unexpected_path)
+    # against the tree evaluator over the pointed category Z_m.  The dense
+    # loop only counts the normalizing sum, the form [1]
+    dense = invariants._dense_counts
+
+    def only_the_normalizing_sum(mat, values, order):
+        assert mat == ((1,),)
+        return dense(mat, values, order)
+
+    monkeypatch.setattr(invariants, "_dense_counts", only_the_normalizing_sum)
     rng = random.Random(30)
     for m, xi in ((3, make_root(3, 1)), (4, make_root(8, 1)),
                   (5, make_root(5, 2))):
@@ -590,8 +614,15 @@ def test_moo_with_a_cycle_takes_the_dense_loop(monkeypatch):
         calls.append(args)
         return dense(*args)
 
+    signatures = []
+
+    def signature_spy(mat):
+        signatures.append(mat)
+        return signature(mat)
+
     monkeypatch.setattr(invariants, "_dense_counts", spy)
     monkeypatch.setattr(invariants, "_forest_counts", _unexpected_path)
+    monkeypatch.setattr(invariants, "signature", signature_spy)
     # a 4-cycle 0-1-2-3 with a pendant vertex 4
     mat = as_matrix([[1, 1, 0, -2, 0], [1, 0, 1, 0, 0], [0, 1, 2, 1, 1],
                      [-2, 0, 1, -1, 0], [0, 0, 1, 0, 3]])
@@ -599,7 +630,29 @@ def test_moo_with_a_cycle_takes_the_dense_loop(monkeypatch):
     xi = make_root(3, 1)
     moo(mat, 3, xi)
     moo_refined(mat, MooParams(1, make_root(4, 1), delta=2), (0, 1, 0, 1, 1))
-    assert len(calls) == 2
+    # the Gauss sums, plus the normalizing sums of the form [1]
+    assert len(calls) == 4
+    # only a support with a cycle pays the dense signature
+    assert signatures == [mat, mat]
+
+
+def test_gauss_sums_on_forests_never_take_the_dense_signature(monkeypatch):
+    monkeypatch.setattr(invariants, "signature", _unexpected_path)
+    rng = random.Random(16)
+    xi = make_root(3, 1)
+    for _ in range(20):
+        f = random_forest(rng, max_vertices=7, max_framing=3)
+        mat = f.linking_matrix()
+        value = moo(mat, 3, xi)
+        assert (value.b_plus, value.b_minus) == (
+            forest_signature(f).b_plus, forest_signature(f).b_minus)
+        moo_refined(mat, MooParams(1, make_root(4, 1), delta=2),
+                    tuple(rng.randrange(2) for _ in range(f.n)))
+    cat = sl2_category(5)
+    ev, red = Evaluator(cat), Evaluator(decomposition_data(cat).reduced)
+    for f in (chain([2, 3]), e8_forest()):
+        assert decomposition_check(cat, f, evaluator=ev,
+                                   reduced_evaluator=red)["equal"]
 
 
 def test_moo_refuses_over_budget_before_enumerating_on_any_shape(

@@ -209,6 +209,14 @@ def test_solution_enumeration_refuses_before_walking():
         cohomology_classes(zero, 2)
     with pytest.raises(StructureError, match="exceeds size limit"):
         homology_representatives(zero, 2)
+    # exactly 2^24 vectors, but of 24 coordinates each: the budget charges
+    # the output, so this is refused too
+    zero = as_matrix([[0] * 24 for _ in range(24)])
+    assert solution_coset(zero, (0,) * 24, 2).count == ENUMERATION_LIMIT
+    with pytest.raises(StructureError, match="exceeds size limit"):
+        cohomology_classes(zero, 2)
+    with pytest.raises(StructureError, match="exceeds size limit"):
+        homology_representatives(zero, 2)
     # a chain of 25 has few classes: no (Z_2)^25 walk is needed
     chain = [[0] * 25 for _ in range(25)]
     for i in range(25):

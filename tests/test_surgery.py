@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinmod import structures
+from spinmod import invariants, structures
 from spinmod.corpus import e8_forest, random_forest, random_move_sequence
 from spinmod.surgery import (ForestError, SignaturePair, apply_move,
                              blow_down, blow_up, chain, forest,
@@ -137,16 +137,44 @@ def test_forest_signature_hand_cases(framings, edges, expected):
     assert signature(f.linking_matrix()) == SignaturePair(*expected)
 
 
+def random_weighted_forest(rng, max_vertices=9):
+    """A symmetric matrix whose off-diagonal support is a forest on
+    shuffled labels (several trees and isolated vertices): diagonal in
+    -3..3, edge weights +-1..+-3."""
+    n = rng.randint(0, max_vertices)
+    label = list(range(n))
+    rng.shuffle(label)
+    mat = [[0] * n for _ in range(n)]
+    for v in range(n):
+        mat[label[v]][label[v]] = rng.randint(-3, 3)
+        if v and rng.random() < 0.7:
+            u = rng.randrange(v)
+            mat[label[u]][label[v]] = mat[label[v]][label[u]] = \
+                rng.choice([1, 2, 3]) * rng.choice([1, -1])
+    return tuple(map(tuple, mat))
+
+
 def test_forest_signature_matches_signature_on_random_forests():
-    # |framing| <= 3 makes zero pivots, hence cuts and nullity, common
+    # |framing| <= 3 makes zero pivots, hence cuts and nullity, common;
+    # plumbing forests (edge terms 1) and weighted forest-supported
+    # matrices (edge terms L_pc L_cp) take the same leaf elimination
     rng = random.Random(2014)
     degenerate = 0
-    for _ in range(20_000):
+    for _ in range(10_000):
         f = random_forest(rng, 9, 3)
         sig = forest_signature(f)
         assert sig == signature(f.linking_matrix()), f
         degenerate += sig.nullity > 0
-    assert degenerate > 2_000
+    assert degenerate > 1_000
+    degenerate = 0
+    for _ in range(10_000):
+        mat = random_weighted_forest(rng)
+        tree = invariants._forest_order(mat)
+        assert tree is not None
+        sig = invariants._matrix_signature(mat, tree)
+        assert sig == signature(mat), mat
+        degenerate += sig.nullity > 0
+    assert degenerate > 1_000
 
 
 @settings(max_examples=50, deadline=None)
