@@ -411,17 +411,17 @@ def invertibles(cat: CategoryData) -> InvertibleGroup:
     )
 
 
-def _has_monodromy(cat: CategoryData, lam: int, g: int, z: CycloNumber
-                   ) -> bool:
-    """Whether the monodromy chi_lam(g) = smat[lam][g] / (qdim(lam) qdim(g))
-    equals z, decided without dividing: smat[lam][g] == z qdim(lam) qdim(g).
+def _monodromy_scale(cat: CategoryData, lam: int, g: int) -> CycloNumber:
+    """qdim(lam) qdim(g), the denominator of the monodromy chi_lam(g) =
+    smat[lam][g] / (qdim(lam) qdim(g)): chi_lam(g) = z exactly when
+    smat[lam][g] == z * this, so no quantum dimension is inverted.
 
-    Raises GradingError when qdim(lam) qdim(g) = 0 (corrupt data)."""
+    Raises GradingError when it is zero (corrupt data)."""
     dims = cat.qdim[lam] * cat.qdim[g]
     if dims.is_zero():
         zero = lam if cat.qdim[lam].is_zero() else g
         raise GradingError(f"qdim of label {zero} is zero (corrupt data)")
-    return cat.smat[lam][g] == z * dims
+    return dims
 
 
 @dataclass
@@ -477,8 +477,8 @@ def grading(cat: CategoryData, group: InvertibleGroup,
         raise GradingError("e_d is not a d-th root of unity")
     degree = []
     for lam in range(cat.size):
-        k = next((k for z, k in powers.items()
-                  if _has_monodromy(cat, lam, t, z)), None)
+        dims, s_lt = _monodromy_scale(cat, lam, t), cat.smat[lam][t]
+        k = next((k for z, k in powers.items() if s_lt == z * dims), None)
         if k is None:
             raise GradingError(
                 f"character of label {lam} is not a power of e_d (corrupt data)")
@@ -516,7 +516,7 @@ def refinable_structures(cat: CategoryData,
         group = invertibles(cat)
     one = cat.field.one
     trivial_degree = [g for g in group.elements
-                      if all(_has_monodromy(cat, g, h, one)
+                      if all(cat.smat[g][h] == _monodromy_scale(cat, g, h)
                              for h in group.elements)]
     subgroups = _all_subgroups(group, trivial_degree)
     result = []

@@ -26,11 +26,12 @@ from itertools import count, product
 
 from . import structures, surgery
 from .category import (CategoryData, Grading, GradingError, KirbyColor,
-                       RefinableStructure, _has_monodromy,
+                       RefinableStructure, _monodromy_scale,
                        default_primitive_root, grading, invertibles,
                        kirby_color, refinable_structures)
 from .constructions import reduced_subcategory
 from .cyclo import CycloNumber, MatrixRow
+# `signature` is re-exported: `invariants.signature` is the dense route
 from .surgery import (PlumbingForest, SignaturePair, forest_signature,
                       signature)
 
@@ -497,8 +498,8 @@ class Evaluator:
         one set per grading of modulus g: the characteristic solutions of
         L s = (g/2) diag(L) mod g when the generator has twist -1, the
         kernel of L mod g otherwise.  Entries are keyed by the concatenated
-        vectors; a product whose |points| x n exceeds the enumeration
-        budget is refused before any point is built."""
+        vectors; a product whose |points| x (|grads| n) coordinates exceed
+        the enumeration budget is refused before any point is built."""
         mat = forest.linking_matrix()
         sig = forest_signature(forest)
         minus_one = -self.cat.field.one
@@ -507,10 +508,10 @@ class Evaluator:
                  else structures.cohomology_classes)(mat, g.modulus).solutions
                 for g in grads]
         count = math.prod(map(len, sets))
-        if count * forest.n > structures.ENUMERATION_LIMIT:
+        if count * len(sets) * forest.n > structures.ENUMERATION_LIMIT:
             raise RefinementError(f"product of {len(sets)} structure sets, "
-                                  f"{count} points of {forest.n} vertices, "
-                                  "exceeds size limit")
+                                  f"{count} points of {len(sets) * forest.n}"
+                                  " coordinates, exceeds size limit")
         points = [sum(combo, ()) for combo in product(*sets)]
         raw = self._graded_values(grads, forest, points)
         return RefinedInvariantTable(
@@ -590,13 +591,12 @@ class Evaluator:
         concatenation of the per-factor structure vectors, and their sum
         over the full product set equals the unrefined invariant.
         """
-        group = self.group()
-        one = self.cat.field.one
+        group, cat = self.group(), self.cat
         grads = []
         for g in generators:
             if g not in group.elements:
                 raise RefinementError(f"label {g} is not invertible")
-            if not all(_has_monodromy(self.cat, g, h, one)
+            if not all(cat.smat[g][h] == _monodromy_scale(cat, g, h)
                        for h in group.elements):
                 raise RefinementError(
                     f"generator {g} has nontrivial degree; the subgroup is "
@@ -654,7 +654,7 @@ class MooParams:
 
 def _check_enumeration_budget(mat, values, bound: int, tree):
     """Refuse an oversized Gauss sum before any work; otherwise return the
-    plan `_quadratic_sum` runs: `tree`, the `_forest_order` of `mat`, or
+    plan `_quadratic_sum` runs: `tree`, the `_support_order` of `mat`, or
     None for the dense loop.
 
     The dense loop is charged prod |values[v]| vectors, the forest pass
@@ -674,29 +674,6 @@ def _check_enumeration_budget(mat, values, bound: int, tree):
     if dense > structures.ENUMERATION_LIMIT:
         raise MooError(f"Gauss sum over {base}^{n} vectors exceeds size limit")
     return None
-
-
-def _forest_order(mat) -> tuple[list[int], list[int]] | None:
-    """Parent array (-1 at roots) and a leaves-first vertex order of the
-    off-diagonal support of `mat` (i ~ j iff mat[i][j] or mat[j][i] is
-    nonzero), or None when the support has a cycle."""
-    n = len(mat)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if mat[i][j] or mat[j][i]]
-    return surgery._forest_order(n, pairs)
-
-
-def _matrix_signature(mat, tree) -> SignaturePair:
-    """Inertia of `mat` by leaf elimination on its `_forest_order` `tree`,
-    or by `signature` when that is None (a cycle)."""
-    if tree is None:
-        return signature(mat)
-    parent, order = tree
-    return surgery._leaf_elimination(
-        [mat[v][v] for v in range(len(mat))],
-        [mat[p][v] * mat[v][p] if p >= 0 else 0
-         for v, p in enumerate(parent)],
-        parent, order)
 
 
 def _dense_counts(mat, values, order: int) -> dict[int, int]:
@@ -798,7 +775,7 @@ def moo_refined(mat: structures.LinkingMatrix, params: MooParams,
     and the sum of xi^(gamma L gamma) is counted by one integer pass over
     the forest in about n (alpha m)^2 order operations instead of
     (alpha m)^n (`_quadratic_sum`), and a missing ``sig`` comes from the
-    same `_forest_order` by leaf elimination.  The normalizing sum is the
+    same `_support_order` by leaf elimination.  The normalizing sum is the
     quadratic sum of the 1x1 form [1], over the same powers of xi."""
     m, xi, delta, alpha = params.m, params.xi, params.delta, params.alpha
     if m < 1 or delta < 1 or alpha < 1:
@@ -809,12 +786,12 @@ def moo_refined(mat: structures.LinkingMatrix, params: MooParams,
     big = alpha * delta * m
     values = [range(c % delta, c % delta + big, delta) for c in klass]
     bound = big if (delta * m) % 2 else 2 * big
-    tree = _forest_order(mat)
+    tree = surgery._support_order(mat)
     plan = _check_enumeration_budget(mat, values, bound, tree)
     if not (xi ** bound).is_one():
         raise MooError(f"xi^{bound} != 1: wrong root order for range Z_{big}")
     if sig is None:
-        sig = _matrix_signature(mat, tree)
+        sig = surgery._matrix_signature(mat, tree)
     pows = [xi.field.one, xi]   # xi^0 .. xi^(order - 1)
     while not pows[-1].is_one():
         pows.append(pows[-1] * xi)

@@ -226,6 +226,28 @@ def _leaf_elimination(diag, edge, parent, order) -> SignaturePair:
     return SignaturePair(b_plus, b_minus, nullity)
 
 
+def _support_order(mat) -> tuple[list[int], list[int]] | None:
+    """`_forest_order` of the off-diagonal support of `mat` (i ~ j iff
+    mat[i][j] or mat[j][i] is nonzero), or None when it has a cycle."""
+    n = len(mat)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if mat[i][j] or mat[j][i]]
+    return _forest_order(n, pairs)
+
+
+def _matrix_signature(mat, tree) -> SignaturePair:
+    """Inertia of `mat` by leaf elimination on its `_support_order` `tree`,
+    or by `signature` when that is None (a cycle)."""
+    if tree is None:
+        return signature(mat)
+    parent, order = tree
+    return _leaf_elimination(
+        [mat[v][v] for v in range(len(mat))],
+        [mat[p][v] * mat[v][p] if p >= 0 else 0
+         for v, p in enumerate(parent)],
+        parent, order)
+
+
 def forest_signature(f: PlumbingForest) -> SignaturePair:
     """`signature(f.linking_matrix())` in O(n) Fractions: the leaf
     elimination with every edge term (+-1)^2 = 1."""

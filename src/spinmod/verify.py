@@ -25,7 +25,8 @@ from .corpus import corpus, e8_forest, random_forest, random_move_sequence
 from .cyclo import gauss_sum, make_root
 from .invariants import (Evaluator, MooParams, decomposition_check,
                          decomposition_data, moo, moo_refined)
-from .surgery import apply_move, chain, forest, signature, stabilize, reverse
+from .surgery import (_matrix_signature, _support_order, apply_move, chain,
+                      forest, stabilize, reverse)
 from .structures import as_matrix
 
 
@@ -368,7 +369,7 @@ def verify_moo() -> Report:
             ([[1]], 3, 3, 3, 1)):
         mat = as_matrix(mat_rows)
         xi = make_root(xi_ord, 1)
-        sig = signature(mat)
+        sig = _matrix_signature(mat, _support_order(mat))
         params = MooParams(m=m, xi=xi, delta=delta, alpha=alpha)
         total = None
         denoms = None

@@ -13,7 +13,7 @@ from spinmod.category import kirby_color
 from spinmod.constructions import abelian_category, sl2_category
 from spinmod.corpus import corpus, e8_forest, random_forest
 from spinmod.cyclo import CycloField, cyclo_field, make_root
-from spinmod import invariants, structures
+from spinmod import invariants, structures, surgery, verify
 from spinmod.invariants import (Evaluator, InvariantError, MooError,
                                 MooParams, NormalizationError,
                                 RefinementError, decomposition_check,
@@ -492,6 +492,10 @@ def test_generalized_spin_product_is_refused_before_any_evaluation(
     monkeypatch.setattr(invariants, "product", _unexpected_path)
     with pytest.raises(RefinementError, match="exceeds size limit"):
         ev.wrt_generalized_spin(f, [t, t])
+    # three sets of 2^7 points on 7 vertices: 2^21 points, but each has
+    # 3 * 7 coordinates, so the output is 21 * 2^21 > 2^24
+    with pytest.raises(RefinementError, match="of 21 coordinates"):
+        ev.wrt_generalized_spin(forest([0] * 7), [t, t, t])
     assert evaluated == []
 
 
@@ -545,11 +549,11 @@ def random_forest_matrix(rng, n):
 def test_forest_counts_match_the_dense_loop():
     # the dense loop is the oracle for the forest pass, plain and refined
     rng = random.Random(8)
-    assert invariants._forest_order(()) == ([], [])
+    assert surgery._support_order(()) == ([], [])
     for n in range(9):
         for _ in range(6):
             mat = random_forest_matrix(rng, n)
-            tree = invariants._forest_order(mat)
+            tree = surgery._support_order(mat)
             assert tree is not None
             m, order = rng.choice([(m, o) for m, o in
                                    ((2, 4), (3, 3), (3, 6), (4, 8), (5, 5))
@@ -559,7 +563,7 @@ def test_forest_counts_match_the_dense_loop():
                 == invariants._dense_counts(mat, values, order)
     for n in range(4):
         mat = random_forest_matrix(rng, n)
-        tree = invariants._forest_order(mat)
+        tree = surgery._support_order(mat)
         for m, delta, alpha in product((1, 2), (1, 2, 3), (1, 2)):
             big = alpha * delta * m
             order = big if (delta * m) % 2 else 2 * big
@@ -569,7 +573,7 @@ def test_forest_counts_match_the_dense_loop():
                     == invariants._dense_counts(mat, values, order)
     for _, f in corpus(7, 50):
         mat = f.linking_matrix()
-        tree = invariants._forest_order(mat)
+        tree = surgery._support_order(mat)
         for values, order in (([range(2)] * f.n, 4),
                               ([range(c, c + 4, 2) for c in
                                 rng.choices((0, 1), k=f.n)], 8)):
@@ -622,11 +626,11 @@ def test_moo_with_a_cycle_takes_the_dense_loop(monkeypatch):
 
     monkeypatch.setattr(invariants, "_dense_counts", spy)
     monkeypatch.setattr(invariants, "_forest_counts", _unexpected_path)
-    monkeypatch.setattr(invariants, "signature", signature_spy)
+    monkeypatch.setattr(surgery, "signature", signature_spy)
     # a 4-cycle 0-1-2-3 with a pendant vertex 4
     mat = as_matrix([[1, 1, 0, -2, 0], [1, 0, 1, 0, 0], [0, 1, 2, 1, 1],
                      [-2, 0, 1, -1, 0], [0, 0, 1, 0, 3]])
-    assert invariants._forest_order(mat) is None
+    assert surgery._support_order(mat) is None
     xi = make_root(3, 1)
     moo(mat, 3, xi)
     moo_refined(mat, MooParams(1, make_root(4, 1), delta=2), (0, 1, 0, 1, 1))
@@ -637,7 +641,7 @@ def test_moo_with_a_cycle_takes_the_dense_loop(monkeypatch):
 
 
 def test_gauss_sums_on_forests_never_take_the_dense_signature(monkeypatch):
-    monkeypatch.setattr(invariants, "signature", _unexpected_path)
+    monkeypatch.setattr(surgery, "signature", _unexpected_path)
     rng = random.Random(16)
     xi = make_root(3, 1)
     for _ in range(20):
@@ -653,13 +657,15 @@ def test_gauss_sums_on_forests_never_take_the_dense_signature(monkeypatch):
     for f in (chain([2, 3]), e8_forest()):
         assert decomposition_check(cat, f, evaluator=ev,
                                    reduced_evaluator=red)["equal"]
+    # the refined-moo partition identity passes its own signatures
+    assert verify.verify_moo().passed
 
 
 def test_moo_refuses_over_budget_before_enumerating_on_any_shape(
         monkeypatch):
     monkeypatch.setattr(invariants, "_quadratic_sum", _unexpected_path)
     triangle = as_matrix([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
-    assert invariants._forest_order(triangle) is None
+    assert surgery._support_order(triangle) is None
     with pytest.raises(MooError, match="exceeds size limit"):
         moo(triangle, 257, make_root(3, 1))
     # a forest is charged n * m^2 * bound: 30 * 211^3 is over budget too
