@@ -498,8 +498,9 @@ class Evaluator:
         one set per grading of modulus g: the characteristic solutions of
         L s = (g/2) diag(L) mod g when the generator has twist -1, the
         kernel of L mod g otherwise.  Entries are keyed by the concatenated
-        vectors; a product whose |points| x (|grads| n) coordinates exceed
-        the enumeration budget is refused before any point is built."""
+        vectors; a product whose output, |points| x |grads| n coordinates,
+        exceeds the enumeration budget is refused before any point is
+        built."""
         mat = forest.linking_matrix()
         sig = forest_signature(forest)
         minus_one = -self.cat.field.one
