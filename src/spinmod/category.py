@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from operator import mul
 
 from .cyclo import CycloField, CycloNumber
@@ -443,7 +444,6 @@ def default_primitive_root(field: CycloField, d: int, k: int = 1) -> CycloNumber
     """zeta_N^(k N/d): the default (k=1) primitive d-th root used for gradings."""
     if d < 1 or field.order % d != 0:
         raise GradingError(f"{d} does not divide the field order {field.order}")
-    from math import gcd
     if gcd(k, d) != 1:
         raise GradingError(f"zeta_{d}^{k} is not primitive")
     return field.zeta(k * (field.order // d))
@@ -542,25 +542,33 @@ def refinable_structures(cat: CategoryData,
 
 
 def _all_subgroups(group: InvertibleGroup, pool: list[int]) -> list[tuple[int, ...]]:
-    """All subgroups of the abelian group generated inside ``pool``."""
-    from itertools import combinations
-    seen: set[frozenset[int]] = set()
-    seen.add(frozenset({0}))
-    for size in range(1, len(pool) + 1):
-        for gens in combinations(pool, size):
-            closure = {0}
-            frontier = list(gens)
-            while frontier:
-                g = frontier.pop()
-                if g in closure:
-                    continue
-                closure.add(g)
-                for h in list(closure):
-                    for prod in (group.table[(g, h)], group.table[(h, g)]):
-                        if prod not in closure:
-                            frontier.append(prod)
-            if all(x in pool or x == 0 for x in closure):
-                seen.add(frozenset(closure))
+    """All subgroups of the abelian group generated inside ``pool``.
+
+    Subgroups are grown one generator at a time from {0}: every subgroup
+    H found is extended by each pool element g outside it, and <H, g> is
+    kept when it stays inside the pool.  Every subgroup inside the pool
+    is reached this way, by adding its elements one by one, so the work
+    is per subgroup and pool element, not per subset of the pool."""
+    allowed = set(pool) | {0}
+    seen = {frozenset({0})}
+    frontier = list(seen)
+    while frontier:
+        sub = frontier.pop()
+        for g in pool:
+            if g in sub:
+                continue
+            # <H, g> = union of the cosets H + k g
+            grown, coset = set(sub), sub
+            while True:
+                coset = frozenset(group.table[(g, h)] for h in coset)
+                if coset <= grown:
+                    break
+                grown |= coset
+            if grown <= allowed:
+                grown = frozenset(grown)
+                if grown not in seen:
+                    seen.add(grown)
+                    frontier.append(grown)
     return sorted((tuple(sorted(s)) for s in seen), key=lambda s: (len(s), s))
 
 

@@ -14,8 +14,12 @@ from __future__ import annotations
 import math
 
 from .category import (CategoryData, Grading, Label, check_axioms, grading,
-                       invertibles)
+                       invertibles, refinable_structures)
 from .cyclo import CycloField, CycloNumber, cyclo_field
+
+
+# the degree lifts f = deg + d * shift that `search_higher_spin` tries
+LIFT_SHIFTS = (0, 1)
 
 
 class ConstructionError(ValueError):
@@ -393,7 +397,7 @@ def modularize(cat: CategoryData, name: str | None = None) -> CategoryData:
 
 
 def search_higher_spin(min_order: int = 4, rs=(4, 5, 6, 7, 8, 9, 10, 11, 12),
-                       alphas=(1, 2, 3), lift_shifts=(0, 1)) -> list[dict]:
+                       alphas=(1, 2, 3)) -> list[dict]:
     """Bounded search for a modular category with a cyclic spin structure of
     order >= min_order, manufactured by extending the built-in families.
 
@@ -417,7 +421,7 @@ def search_higher_spin(min_order: int = 4, rs=(4, 5, 6, 7, 8, 9, 10, 11, 12),
             if base.field.order % order_bound:
                 continue
             step = base.field.order // order_bound
-            for shift in lift_shifts:
+            for shift in LIFT_SHIFTS:
                 f = [0] + [(grad.degree[lam] + d * shift) % ad
                            for lam in range(1, base.size)]
                 for k in range(order_bound):
@@ -429,7 +433,6 @@ def search_higher_spin(min_order: int = 4, rs=(4, 5, 6, 7, 8, 9, 10, 11, 12),
                     report = check_axioms(ext)
                     if not (report.premodular and report.modular):
                         continue
-                    from .category import refinable_structures
                     for s in refinable_structures(ext):
                         if s.is_spin and s.generator is not None \
                                 and s.order >= min_order:

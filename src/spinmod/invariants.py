@@ -128,9 +128,10 @@ def _check_modulus(d: int) -> None:
 
 
 class Evaluator:
-    """Caches per-category data (twist powers, inverse dimensions, subtree
-    messages, unknot values, normalization factors) across many forest
-    evaluations, and the gradings keyed by (generator, e_k).
+    """Caches per-category data across many forest evaluations: one vertex
+    atom theta^framing * qdim^-k per (label, framing, k), subtree messages,
+    Hopf-matrix rows, the two unknot denominators with their inverses,
+    normalization factors, and the gradings keyed by (generator, e_k).
     `eval_weighted` walks the forest's `rooted` order once: a vertex folds
     its inbox of child messages and posts its own to its parent; a root
     multiplies its tree's total into the product.  Every subtree is
@@ -139,21 +140,20 @@ class Evaluator:
     once.
 
     All evaluation methods are pure functions of (category, forest,
-    weights); every cache is keyed by the weight vector itself, never by a
-    caller-supplied name, so memoization cannot change a result.
+    weights); every cache is keyed by content (labels, integers or the
+    weight vector itself), never by a caller-supplied name, so memoization
+    cannot change a result.
     """
 
     def __init__(self, cat: CategoryData):
         self.cat = cat
-        self._theta_pow: dict[tuple[int, int], CycloNumber] = {}
-        self._qdim_inv_pow: dict[tuple[int, int], CycloNumber] = {}
+        self._scales: dict[tuple[int, int, int], CycloNumber] = {}
         self._subtrees: dict[tuple, tuple[int, object]] = {}
         self._store_limit = max(
             1, SUBTREE_STORE_BUDGET // (cat.size * cat.field.degree))
         self._subtree_ids = count()
-        self._factors: dict[tuple, list[tuple[int, CycloNumber]]] = {}
         self._matrix_rows: dict[int, MatrixRow] = {}
-        self._unknot_cache: dict[tuple, CycloNumber] = {}
+        self._denoms: dict[int, CycloNumber] = {}
         self._denom_inv: dict[int, CycloNumber] = {}
         self._norms: dict[tuple[int, int], CycloNumber] = {}
         self._group = None
@@ -163,36 +163,35 @@ class Evaluator:
 
     # -- cached atoms --------------------------------------------------------
 
-    def theta_power(self, lam: int, m: int) -> CycloNumber:
-        key = (lam, m)
-        val = self._theta_pow.get(key)
+    def _scale(self, lam: int, framing: int, k: int) -> CycloNumber:
+        """theta_lam^framing * qdim_lam^-k for k >= -1: the factor of a
+        vertex of degree k + 1 colored lam with weight one.  theta^-1 and
+        qdim^-1 are inverted once per label, as the entries (lam, -1, 0)
+        and (lam, 0, 1), and every other entry is built from entries with
+        framing or k nearer 0, so no label is inverted twice.  k >= 1 on
+        a zero quantum dimension is a ZeroDimensionError."""
+        key = (lam, framing, k)
+        val = self._scales.get(key)
         if val is None:
-            if m >= 0:
-                val = self.cat.twist[lam] ** m
-            elif m == -1:
-                val = self.cat.twist[lam].invert()
+            cat = self.cat
+            if k == -1:
+                val = self._scale(lam, framing, 0) * cat.qdim[lam]
+            elif k and framing:
+                val = self._scale(lam, framing, 0) * self._scale(lam, 0, k)
+            elif k > 1:
+                val = self._scale(lam, 0, 1) ** k
+            elif k:
+                if cat.qdim[lam].is_zero():
+                    raise ZeroDimensionError(f"label {lam} has zero quantum "
+                                             "dimension on an internal vertex")
+                val = cat.qdim[lam].invert()
+            elif framing == -1:
+                val = cat.twist[lam].invert()
+            elif framing < 0:
+                val = self._scale(lam, -1, 0) ** -framing
             else:
-                val = self.theta_power(lam, -1) ** (-m)
-            self._theta_pow[key] = val
-        return val
-
-    def qdim_inv(self, lam: int) -> CycloNumber:
-        return self._qdim_inv_power(lam, 1)
-
-    def _qdim_inv_power(self, lam: int, k: int) -> CycloNumber:
-        if k == 0:
-            return self.cat.field.one
-        key = (lam, k)
-        val = self._qdim_inv_pow.get(key)
-        if val is None:
-            if k > 1:
-                val = self.qdim_inv(lam) ** k
-            elif self.cat.qdim[lam].is_zero():
-                raise ZeroDimensionError(
-                    f"label {lam} has zero quantum dimension on an internal vertex")
-            else:
-                val = self.cat.qdim[lam].invert()
-            self._qdim_inv_pow[key] = val
+                val = cat.twist[lam] ** framing
+            self._scales[key] = val
         return val
 
     def _srow(self, lam: int, sign: int):
@@ -210,45 +209,11 @@ class Evaluator:
                                                    self.cat.smat[i])
         return row
 
-    def _vertex_factors(self, vec, framing: int, k: int):
-        """(lam, vec[lam] * theta_lam^framing * qdim_lam^-k) over the
-        support of vec.  An internal vertex's factors (k >= 1) are kept by
-        content and cleared, like the subtree store, once they would hold
-        `SUBTREE_STORE_BUDGET` coefficients.  A leaf's factors are one
-        product by a twist power each, and the subtree store already keys
-        leaves by (vec, framing, sign), so keeping them would mostly cost
-        memory."""
-        key = (vec, framing, k)
-        factors = self._factors.get(key)
-        if factors is None:
-            factors = []
-            for lam in _support(vec):
-                f = vec[lam] * self.theta_power(lam, framing)
-                if k:
-                    f = f * self._qdim_inv_power(lam, k)
-                factors.append((lam, f))
-            if k:
-                if len(self._factors) >= self._store_limit:
-                    self._factors.clear()
-                self._factors[key] = factors
-        return factors
-
     # -- plain evaluation ----------------------------------------------------
 
     def unknot_value(self, framing: int, weight) -> CycloNumber:
         """Invariant of one framed unknot with a weighted color."""
-        return self._unknot(framing, _weight_vec(self.cat, weight))
-
-    def _unknot(self, framing: int, vec) -> CycloNumber:
-        key = (vec, framing)
-        total = self._unknot_cache.get(key)
-        if total is None:
-            qdim = self.cat.qdim
-            total = self.cat.field.dot(
-                (vec[lam] * self.theta_power(lam, framing), qdim[lam])
-                for lam in _support(vec))
-            self._unknot_cache[key] = total
-        return total
+        return self._fold(_weight_vec(self.cat, weight), framing, 0, ())
 
     def eval_colored(self, forest: PlumbingForest, colors,
                      root: int | None = None) -> CycloNumber:
@@ -260,12 +225,12 @@ class Evaluator:
         value = self.cat.field.one
         for v in order:
             lam, p = colors[v], parent[v]
-            value = value * self.theta_power(lam, forest.framings[v])
             if p < 0:
-                value = value * self.cat.qdim[lam]
+                value = value * self._scale(lam, forest.framings[v], -1)
             else:
-                value = value * self._srow(lam, sign[v])[colors[p]] \
-                    * self.qdim_inv(colors[p])
+                value = value * self._scale(lam, forest.framings[v], 0) \
+                    * self._srow(lam, sign[v])[colors[p]] \
+                    * self._scale(colors[p], 0, 1)
         return value
 
     def eval_weighted(self, forest: PlumbingForest, weights) -> CycloNumber:
@@ -306,22 +271,27 @@ class Evaluator:
     def _fold(self, vec, framing: int, sign: int, msgs):
         """A vertex with its children's messages folded in: the message
         to its parent along an edge of `sign`, or at a root (sign 0) the
-        total of its tree.  The vertex factors f_lam = vec[lam] *
-        theta_lam^framing * qdim_lam^-(number of messages) come from
-        `_vertex_factors`, so only the messages are multiplied in here.
-        The message is the vector times matrix product, sum over lam of
-        f_lam * S^sign[lam][lp] for all outgoing labels lp at once
-        (`CycloField.vecmat`); the root total is one kernel call, the sum
-        of f_lam * qdim[lam]."""
+        total of its tree.  With k messages, label lam has the vertex
+        factor vec[lam] * `_scale`(lam, framing, k); a weight equal to
+        qdim[lam], as in every plain and graded color, makes that exactly
+        `_scale`(lam, framing, k - 1), so it costs no product, and the
+        messages are multiplied in here.  The message is the vector times
+        matrix product, sum over lam of f_lam * S^sign[lam][lp] for all
+        outgoing labels lp at once (`CycloField.vecmat`); the root total
+        is one kernel call, the sum of f_lam * qdim[lam]."""
+        k = len(msgs)
+        qdim = self.cat.qdim
         terms = []
-        for lam, f in self._vertex_factors(vec, framing, len(msgs)):
+        for lam in _support(vec):
+            w = vec[lam]
+            f = (self._scale(lam, framing, k - 1) if w == qdim[lam]
+                 else w * self._scale(lam, framing, k))
             for msg in msgs:
                 f = f * msg[lam]
             if not f.is_zero():
                 terms.append((lam, f))
         field = self.cat.field
         if not sign:
-            qdim = self.cat.qdim
             return field.dot((f, qdim[lam]) for lam, f in terms)
         return field.vecmat(((f, self._matrix_row(lam, sign))
                              for lam, f in terms), self.cat.size)
@@ -329,9 +299,9 @@ class Evaluator:
     def brute_weighted(self, forest: PlumbingForest, weights) -> CycloNumber:
         """Oracle: direct sum over all colorings, no message passing.
 
-        Each vertex's factor per supported label (weight, twist power, and
-        qdim on an isolated vertex or qdim^-(degree-1) otherwise) is built
-        once, so a coloring of the supports costs n + |E| multiplies."""
+        Each vertex's factor per supported label, the weight times
+        `_scale`(lam, framing, degree - 1), is built once, so a coloring
+        of the supports costs n + |E| multiplies."""
         vecs = [_weight_vec(self.cat, w) for w in weights]
         n = forest.n
         size = self.cat.size
@@ -343,16 +313,10 @@ class Evaluator:
             return field.zero
         factors = []
         for v, support in enumerate(supports):
-            dv = forest.degree(v)
-            fv = {}
-            for lam in support:
-                f = vecs[v][lam] * self.theta_power(lam, forest.framings[v])
-                if dv == 0:
-                    f = f * self.cat.qdim[lam]
-                elif dv > 1:
-                    f = f * self._qdim_inv_power(lam, dv - 1)
-                fv[lam] = f
-            factors.append(fv)
+            k = forest.degree(v) - 1
+            factors.append({lam: vecs[v][lam]
+                            * self._scale(lam, forest.framings[v], k)
+                            for lam in support})
         total = field.zero
         for coloring in product(*supports):
             term = field.one
@@ -369,7 +333,12 @@ class Evaluator:
         return self._plain
 
     def denominator(self, sign: int) -> CycloNumber:
-        return self._unknot(sign, self._plain.weights)
+        """F(U_sign(omega)), the plain-colored unknot of framing sign."""
+        val = self._denoms.get(sign)
+        if val is None:
+            val = self._denoms[sign] = self._fold(self._plain.weights, sign,
+                                                  0, ())
+        return val
 
     def _denominator_inv(self, sign: int) -> CycloNumber:
         val = self._denom_inv.get(sign)
@@ -755,17 +724,16 @@ def _quadratic_sum(mat, values, pows: list[CycloNumber],
     return total
 
 
-def moo(mat: structures.LinkingMatrix, m: int, xi: CycloNumber,
-        sig: SignaturePair | None = None) -> InvariantValue:
+def moo(mat: structures.LinkingMatrix, m: int,
+        xi: CycloNumber) -> InvariantValue:
     """Gauss-sum invariant: sum over (Z_m)^n of xi^(l L l), divided by the
     one-variable Gauss sum g and its conjugate to the signature powers.
     It is `moo_refined` at delta = alpha = 1 on the zero class."""
-    return moo_refined(mat, MooParams(m, xi), (0,) * len(mat), sig)
+    return moo_refined(mat, MooParams(m, xi), (0,) * len(mat))
 
 
 def moo_refined(mat: structures.LinkingMatrix, params: MooParams,
-                klass: tuple[int, ...],
-                sig: SignaturePair | None = None) -> InvariantValue:
+                klass: tuple[int, ...]) -> InvariantValue:
     """Refined Gauss-sum invariant over gamma = klass (mod delta), with
     gamma ranging over Z_(alpha delta m); the normalizing Gauss sum runs
     over the residue delta/2 (spin type) or 0 (cohomological type).
@@ -775,7 +743,7 @@ def moo_refined(mat: structures.LinkingMatrix, params: MooParams,
     sum_v f_v gamma_v^2 + sum_(edges p-c) (L_pc + L_cp) gamma_p gamma_c,
     and the sum of xi^(gamma L gamma) is counted by one integer pass over
     the forest in about n (alpha m)^2 order operations instead of
-    (alpha m)^n (`_quadratic_sum`), and a missing ``sig`` comes from the
+    (alpha m)^n (`_quadratic_sum`), and the signature comes from the
     same `_support_order` by leaf elimination.  The normalizing sum is the
     quadratic sum of the 1x1 form [1], over the same powers of xi."""
     m, xi, delta, alpha = params.m, params.xi, params.delta, params.alpha
@@ -791,8 +759,7 @@ def moo_refined(mat: structures.LinkingMatrix, params: MooParams,
     plan = _check_enumeration_budget(mat, values, bound, tree)
     if not (xi ** bound).is_one():
         raise MooError(f"xi^{bound} != 1: wrong root order for range Z_{big}")
-    if sig is None:
-        sig = surgery._matrix_signature(mat, tree)
+    sig = surgery._matrix_signature(mat, tree)
     pows = [xi.field.one, xi]   # xi^0 .. xi^(order - 1)
     while not pows[-1].is_one():
         pows.append(pows[-1] * xi)
@@ -864,15 +831,14 @@ def decomposition_check(cat: CategoryData, forest: PlumbingForest,
                         evaluator: Evaluator | None = None,
                         reduced_evaluator: Evaluator | None = None) -> dict:
     """Exact test of tau_C = tau_reduced * moo on one manifold; returns a
-    witness record.  The signature comes from `forest_signature`."""
+    witness record."""
     if data is None:
         data = decomposition_data(cat)
     ev = evaluator or Evaluator(cat)
     red_ev = reduced_evaluator or Evaluator(data.reduced)
-    sig = forest_signature(forest)
     full = ev.wrt(forest)
     part = red_ev.wrt(forest)
-    gauss = moo(forest.linking_matrix(), data.m, data.xi, sig)
+    gauss = moo(forest.linking_matrix(), data.m, data.xi)
     rhs = part.exact * cat.field.embed(gauss.exact) \
         if gauss.exact.field is not cat.field else part.exact * gauss.exact
     return {

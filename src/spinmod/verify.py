@@ -29,6 +29,15 @@ from .surgery import (_matrix_signature, _support_order, apply_move, chain,
                       forest, stabilize, reverse)
 from .structures import as_matrix
 
+# the kirby suite: moves per random sequence, and random manifolds added
+# to its fixed base list
+KIRBY_MOVES_PER_SEQUENCE = 6
+KIRBY_RANDOM_BASES = 3
+# the spinc suite's bounded extension search: bases sl2(r) for r in
+# SPINC_SEARCH_RS, extension orders alpha in SPINC_SEARCH_ALPHAS
+SPINC_SEARCH_RS = (4, 5, 6, 8)
+SPINC_SEARCH_ALPHAS = (1, 2)
+
 
 @dataclass
 class Report:
@@ -199,8 +208,8 @@ def verify_sum(seed: int = 7, size: int = 50, max_vertices: int = 8,
     return _finish(rep, t0)
 
 
-def verify_kirby(seed: int = 7, sequences: int = 200, moves_per_seq: int = 6,
-                 extra_random: int = 3, category=None) -> Report:
+def verify_kirby(seed: int = 7, sequences: int = 200,
+                 category=None) -> Report:
     """wrt and refined-table multisets are invariant under random move
     sequences (stabilize / blow-up / blow-down / reverse)."""
     t0 = time.perf_counter()
@@ -210,7 +219,7 @@ def verify_kirby(seed: int = 7, sequences: int = 200, moves_per_seq: int = 6,
             ("lens_3", forest([3])), ("lens_chain_2_3", chain([2, 3])),
             ("lens_chain_0_2", chain([0, 2])),
             ("E8", e8_forest())]
-    for k in range(extra_random):
+    for k in range(KIRBY_RANDOM_BASES):
         base.append((f"random_{k}", random_forest(rng, max_vertices=5)))
     for cat, kind, d in _refinement_jobs(category):
         ev = Evaluator(cat)
@@ -221,7 +230,7 @@ def verify_kirby(seed: int = 7, sequences: int = 200, moves_per_seq: int = 6,
             table0 = refined(f0, d).multiset()
             for _ in range(sequences):
                 _, f1 = random_move_sequence(
-                    rng, f0, rng.randint(1, moves_per_seq))
+                    rng, f0, rng.randint(1, KIRBY_MOVES_PER_SEQUENCE))
                 if ev.wrt(f1).exact != w0:
                     _fail(rep, f"{cat.name}/{name}: wrt changed under moves",
                           {"category": cat.name, "manifold": name,
@@ -374,11 +383,11 @@ def verify_moo() -> Report:
         total = None
         denoms = None
         for klass in product(range(delta), repeat=len(mat)):
-            val = moo_refined(mat, params, klass, sig)
+            val = moo_refined(mat, params, klass)
             denoms = (val.denom_plus, val.denom_minus)
             total = val.exact if total is None else total + val.exact
         if delta == 1:
-            plain = moo(mat, m, xi, sig).exact
+            plain = moo(mat, m, xi).exact
             want = plain.scale(Fraction(alpha ** sig.nullity))
             ok = total == want
         else:
@@ -388,7 +397,7 @@ def verify_moo() -> Report:
             big = alpha * delta * m
             whole = moo_refined(
                 mat, MooParams(m=big, xi=xi, delta=1, alpha=1),
-                (0,) * len(mat), sig)
+                (0,) * len(mat))
             whole_unnorm = whole.exact * whole.denom_plus ** sig.b_plus \
                 * whole.denom_minus ** sig.b_minus
             ok = unnorm == whole_unnorm
@@ -401,8 +410,7 @@ def verify_moo() -> Report:
     return _finish(rep, t0)
 
 
-def verify_spinc(seed: int = 7, search_alphas=(1, 2), search_rs=(4, 5, 6, 8),
-                 explore: bool = True) -> Report:
+def verify_spinc(seed: int = 7) -> Report:
     """Complex-spin machinery.
 
     Runs the Chern-vector pipeline (stabilization and orientation-reversal
@@ -416,7 +424,8 @@ def verify_spinc(seed: int = 7, search_alphas=(1, 2), search_rs=(4, 5, 6, 8),
     t0 = time.perf_counter()
     rep = Report("spinc", True)
     rng = random.Random(seed)
-    hits = search_higher_spin(min_order=4, rs=search_rs, alphas=search_alphas)
+    hits = search_higher_spin(min_order=4, rs=SPINC_SEARCH_RS,
+                              alphas=SPINC_SEARCH_ALPHAS)
     if hits:
         hit = hits[0]
         rep.lines.append(
@@ -442,7 +451,7 @@ def verify_spinc(seed: int = 7, search_alphas=(1, 2), search_rs=(4, 5, 6, 8),
     else:
         rep.lines.append(
             "CONDITIONAL: bounded extension search (bases sl2(r) for r in "
-            f"{tuple(search_rs)}, alpha in {tuple(search_alphas)}, both degree "
+            f"{SPINC_SEARCH_RS}, alpha in {SPINC_SEARCH_ALPHAS}, both degree "
             "lifts, all admissible roots) found NO modular category with a "
             "cyclic spin structure of order >= 4; the Chern-refined invariant "
             "pipeline has no instance to run on, so this suite covers its "
@@ -488,7 +497,7 @@ def verify_spinc(seed: int = 7, search_alphas=(1, 2), search_rs=(4, 5, 6, 8),
         count += 1
     rep.lines.append(f"chern coset partition / representative / factored "
                      f"checks: {count}/40 exact")
-    if explore and not hits:
+    if not hits:
         # exploration only, never asserted: the d=1 stabilization identity
         cat = sl2_category(8)
         ev = Evaluator(cat)

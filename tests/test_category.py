@@ -4,6 +4,7 @@ structures, Kirby colors."""
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -352,6 +353,55 @@ def test_gradings_and_trivial_degrees_match_the_division_oracle(
             e_d = default_primitive_root(cat.field, d, k)
             grad = grading(cat, group, t, e_d)
             assert grad.degree == _oracle_degrees(cat, d, t, e_d), k
+
+
+def _subset_walk_subgroups(group, pool):
+    """Oracle: close every subset of ``pool`` and keep the closures that
+    stay inside it (2^|pool| closures)."""
+    allowed = set(pool) | {0}
+    seen = {frozenset({0})}
+    for size in range(1, len(pool) + 1):
+        for gens in combinations(pool, size):
+            closure = {0}
+            frontier = list(gens)
+            while frontier:
+                g = frontier.pop()
+                if g in closure:
+                    continue
+                closure.add(g)
+                frontier.extend(group.table[(g, h)] for h in list(closure))
+            if closure <= allowed:
+                seen.add(frozenset(closure))
+    return sorted((tuple(sorted(s)) for s in seen), key=lambda s: (len(s), s))
+
+
+SUBGROUP_CASES = GRADING_CASES + [
+    (f"degenerate_abelian_{n}", lambda n=n: abelian_category(n, make_root(2, 0)))
+    for n in (6, 9, 12)]
+
+
+@pytest.mark.parametrize("build", [c[1] for c in SUBGROUP_CASES],
+                         ids=[c[0] for c in SUBGROUP_CASES])
+def test_subgroups_match_the_subset_walk(build):
+    # the trivial-degree pool, the whole group, and a pool that is not
+    # closed (the elements of even order, with the unit)
+    cat = build()
+    group = invertibles(cat)
+    pools = [_oracle_trivial_degree(cat, group), list(group.elements),
+             [g for g in group.elements
+              if g == 0 or group.element_orders[g] % 2 == 0]]
+    for pool in pools:
+        assert category._all_subgroups(group, pool) \
+            == _subset_walk_subgroups(group, pool)
+
+
+def test_degenerate_pointed_category_subgroups_are_not_enumerated_by_subset():
+    # every element of Z_24 has trivial degree; its 8 subgroups, one per
+    # divisor, are found without walking the 2^24 subsets of the pool
+    cat = abelian_category(24, make_root(2, 0))
+    structs = refinable_structures(cat)
+    assert sorted(s.order for s in structs) == [1, 2, 3, 4, 6, 8, 12, 24]
+    assert all(s.generator is not None and not s.is_spin for s in structs)
 
 
 def test_zero_dimensions_and_foreign_characters_are_grading_errors():

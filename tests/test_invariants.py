@@ -149,6 +149,61 @@ def uniform_weights(cat):
             + [delta_weight(cat, lam) for lam in range(cat.size)])
 
 
+ATOM_CATEGORIES = pytest.mark.parametrize(
+    "make", [lambda: sl2_category(5), lambda: sl2_category(8),
+             lambda: abelian_category(3, make_root(3, 1))],
+    ids=["sl2_5", "sl2_8", "abelian_3"])
+
+
+@ATOM_CATEGORIES
+def test_vertex_atom_is_the_direct_product(make):
+    cat = make()
+    ev = Evaluator(cat)
+    for lam in range(cat.size):
+        for framing in range(-4, 5):
+            for k in range(-1, 4):
+                want = cat.twist[lam] ** framing * cat.qdim[lam] ** -k
+                assert ev._scale(lam, framing, k) == want, (lam, framing, k)
+
+
+def test_vertex_atom_refuses_a_zero_dimension_only_when_inverted():
+    cat = sl2_category(4)
+    qdim = list(cat.qdim)
+    qdim[2] = cat.field.zero
+    broken = type(cat)(cat.name, cat.field, cat.labels, cat.dual, qdim,
+                       cat.twist, cat.smat, cat.fusion)
+    ev = Evaluator(broken)
+    from spinmod.invariants import ZeroDimensionError
+    for framing in (-2, 0, 3):
+        assert ev._scale(2, framing, -1).is_zero()
+        assert ev._scale(2, framing, 0) == cat.twist[2] ** framing
+        for k in (1, 2, 3):
+            with pytest.raises(ZeroDimensionError):
+                ev._scale(2, framing, k)
+        assert ev._scale(1, framing, 2) == \
+            cat.twist[1] ** framing * cat.qdim[1] ** -2
+
+
+@ATOM_CATEGORIES
+def test_unknot_value_is_the_one_vertex_evaluation(make):
+    # plain, graded, dual and delta weights, whose entries equal qdim or
+    # not, and random integer weights
+    cat = make()
+    ev = Evaluator(cat)
+    rng = random.Random(11)
+    weights = uniform_weights(cat) + [
+        tuple(cat.field.from_integer(rng.randint(-3, 3))
+              for _ in range(cat.size)) for _ in range(4)]
+    for w in weights:
+        for framing in range(-3, 4):
+            one_vertex = forest([framing])
+            value = ev.unknot_value(framing, w)
+            assert value == ev.eval_weighted(one_vertex, [w])
+            assert value == ev.brute_weighted(one_vertex, [w])
+    assert ev.denominator(1) == ev.unknot_value(1, ev.plain_color())
+    assert ev.denominator(-1) == ev.unknot_value(-1, ev.plain_color())
+
+
 # abelian_3 has non-self-dual labels, so the edge sign changes a message
 @pytest.mark.parametrize("make", [lambda: sl2_category(4),
                                   lambda: abelian_category(3, make_root(3, 1))],
@@ -705,8 +760,8 @@ def test_moo_refined_partition_scales_plain():
     xi = make_root(3, 1)
     sig = signature(mat)
     params = MooParams(m=3, xi=xi, delta=1, alpha=2)
-    total = moo_refined(mat, params, (0, 0), sig).exact
-    plain = moo(mat, 3, xi, sig).exact
+    total = moo_refined(mat, params, (0, 0)).exact
+    plain = moo(mat, 3, xi).exact
     assert total == plain.scale(Fraction(2 ** sig.nullity))
 
 
