@@ -513,12 +513,16 @@ class CycloNumber:
     def __pow__(self, exponent: int) -> "CycloNumber":
         if exponent < 0:
             return self.invert() ** (-exponent)
-        result = self.field.one
+        if exponent == 0:
+            return self.field.one
+        # square-and-multiply from the lowest set bit: x**(2^k) costs k
+        # products, and no product by one is spent
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base

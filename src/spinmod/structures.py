@@ -7,22 +7,26 @@ For a linking matrix L these are, over Z_d (or Z_2d for Chern vectors):
 - chern: {sigma : sigma_i = L_ii mod 2} / 2 Im L   in (Z_2d)^n,
 - hom:   (Z_d)^n / Im L                            (classes in H_1).
 
-Solution sets are computed by Smith-normal-form reduction, and so are the
-subgroups (Im L, 2 Im L), enumerated over independent cyclic generators.
-Coset representatives are canonicalized by lexicographic minimality, so
-structure sets compare as sorted lists; they are read off the pivots of
-the Howell form of Im L over Z_d (coordinate i runs over [0, pivot_i)),
-with no walk over (Z_d)^n.  Every solver has a twin used for
-cross-validation: breadth-first subgroup closure and brute-force walks
-over (Z_d)^n.  Modular linear algebra is the riskiest plumbing in the
-package, so nothing here is trusted without an independent oracle.
+Solution sets are computed by Smith-normal-form reduction and enumerated
+over independent cyclic generators.  The subgroups Im L and 2 Im L come
+from one triangular (Hermite) basis of Im L + d Z^n, built by the same
+column elimination that gives the Howell pivots: a lexicographic walk of
+that basis lists each subgroup in sorted order, and 2 Im L in (Z_2d)^n is
+the d-walk with its values doubled.  Coset representatives are
+canonicalized by lexicographic minimality, so structure sets compare as
+sorted lists; they are read off the pivots of the Howell form of Im L
+over Z_d (coordinate i runs over [0, pivot_i)), with no walk over
+(Z_d)^n.  Every solver has a twin used for cross-validation:
+breadth-first subgroup closure and brute-force walks over (Z_d)^n.
+Modular linear algebra is the riskiest plumbing in the package, so
+nothing here is trusted without an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product, repeat
 
 LinkingMatrix = tuple[tuple[int, ...], ...]
 
@@ -303,26 +307,6 @@ def image_subgroup(mat: LinkingMatrix, mod: int, scale: int = 1
     return _close_subgroup(gens, mod, n)
 
 
-def image_subgroup_factored(mat: LinkingMatrix, mod: int, scale: int = 1
-                            ) -> tuple[tuple[int, ...], ...]:
-    """The subgroup scale * Im(mat) of (Z_mod)^n, enumerated without
-    deduplication by running over independent cyclic generators obtained
-    from the Smith normal form: U (scale*mat) V = D gives
-    (scale*mat) V = U^-1 D, so column i of (scale*mat) V is a generator
-    of order mod / gcd(d_i, mod), independent of the others."""
-    n = len(mat)
-    scaled = [[scale * v for v in row] for row in mat]
-    _, dd, v = smith_normal_form(scaled, mod)
-    gens, orders = [], []
-    for i in range(n):
-        order = mod // math.gcd(dd[i][i], mod)
-        if order > 1:
-            gens.append(_mat_vec_mod(scaled, [row[i] for row in v], mod))
-            orders.append(order)
-    subgroup = GeneratedCoset(mod, (0,) * n, tuple(gens), tuple(orders))
-    return tuple(sorted(subgroup.points()))
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s a + t b = g = gcd(a, b)."""
     s0, s1, t0, t1 = 1, 0, 0, 1
@@ -333,22 +317,23 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def howell_pivots(mat: LinkingMatrix, d: int) -> tuple[int, ...]:
-    """Pivot moduli a_0, ..., a_(n-1) of the Howell form of Im L over Z_d.
+def _hermite_rows(gens, d: int) -> list[list[int]]:
+    """The triangular basis of the lattice span(gens) + d Z^n.
 
-    The elements of Im L whose first i coordinates vanish have i-th
-    coordinates a_i Z_d, with a_i | d (a_i = d when there is no pivot in
-    column i).  Computed as the diagonal of the Hermite form of the
-    lattice L Z^n + d Z^n: column by column, the generator d e_i absorbs
-    every remaining generator with a nonzero i-th entry by unimodular
-    2x2 steps, which leave the others zero there.  Entries right of the
-    column are reduced mod d, as d e_k (k > i) are still generators.  The
-    product of the pivots is |coker(L mod d)|."""
+    Row i vanishes before coordinate i and holds the pivot a_i | d there
+    (a_i = d when no generator reaches column i); its other entries are
+    in [0, d), and every entry above a pivot is reduced modulo it, so a
+    column whose pivot is 1 is zero above it.  Column by column, the
+    generator d e_i absorbs every remaining generator with a nonzero i-th
+    entry by unimodular 2x2 steps, which leave the others zero there;
+    entries right of the column are reduced mod d, as d e_k (k > i) are
+    still generators.  The earlier rows are then reduced by the new one,
+    which changes them only from column i on."""
     if d < 1:
         raise StructureError("modulus must be positive")
-    n = len(mat)
-    gens = [[mat[i][j] % d for i in range(n)] for j in range(n)]
-    pivots = []
+    gens = [[x % d for x in g] for g in gens]
+    n = len(gens[0]) if gens else 0
+    rows = []
     for i in range(n):
         pivot = [0] * n
         pivot[i] = d
@@ -363,9 +348,106 @@ def howell_pivots(mat: LinkingMatrix, d: int) -> tuple[int, ...]:
                 pivot[i] = h
             if any(g):
                 rest.append(g)
-        pivots.append(pivot[i])
         gens = rest
-    return tuple(pivots)
+        for row in rows:
+            q = row[i] // pivot[i]
+            if q:
+                row[i:] = [(x - q * y) % d
+                           for x, y in zip(row[i:], pivot[i:])]
+        rows.append(pivot)
+    return rows
+
+
+def howell_pivots(mat: LinkingMatrix, d: int) -> tuple[int, ...]:
+    """Pivot moduli a_0, ..., a_(n-1) of the Howell form of Im L over Z_d.
+
+    The elements of Im L whose first i coordinates vanish have i-th
+    coordinates a_i Z_d, with a_i | d (a_i = d when there is no pivot in
+    column i).  They are the diagonal of ``_hermite_rows`` on the columns
+    of L.  The product of the pivots is |coker(L mod d)|."""
+    rows = _hermite_rows(list(zip(*mat)), d)
+    return tuple(row[i] for i, row in enumerate(rows))
+
+
+def _column(values, each: int, outer: int):
+    """``values`` with every entry repeated ``each`` times, the whole run
+    repeated ``outer`` times, as an iterator."""
+    run = (values if each == 1 else
+           chain.from_iterable(map(repeat, values, repeat(each))))
+    return run if outer == 1 else chain.from_iterable(repeat(list(run), outer))
+
+
+def _lex_walk(rows: list[list[int]], d: int, step: int
+              ) -> tuple[tuple[int, ...], ...]:
+    """The points of span(rows) mod d, times ``step``, in lexicographic
+    order; ``rows`` is a basis from ``_hermite_rows``.
+
+    A prefix x_0..x_(j-1) fixes the partial sums s_m = sum k_i row_i[m]
+    (mod d) of the rows that reach it, and x_j then runs over
+    range(s_j mod a_j, d, a_j) in increasing order, with k_j =
+    ((x_j - s_j) mod d) / a_j.  So every prefix has d / a_j children and
+    the walk is a mixed-radix count.  A column whose pivot is 1 has s = 0
+    (``_hermite_rows`` reduced it), so x_j = k_j runs over all of Z_d and
+    its column is a repeated pattern; only the sums at the pivots above 1
+    still ahead are carried, one tuple per prefix, stored as an index into
+    the distinct tuples.  Each level expands the prefixes through tables
+    over those tuples, and at the end the columns are repeated to full
+    length and zipped into points."""
+    n = len(rows)
+    pivots = [row[i] for i, row in enumerate(rows)]
+    tracked = [m for m in range(n) if pivots[m] > 1]
+    keys = [(0,) * len(tracked)]       # the distinct tuples of carried sums
+    states = [0]                       # per prefix, the index of its tuple
+    cols = []                          # (values, repeats of the whole list)
+    size = 1
+    for row, a in zip(rows, pivots):
+        if a > 1:
+            tracked.pop(0)
+        elif not tracked:              # a free coordinate, nothing to carry
+            cols.append(([step * x for x in range(d)], size))
+            size *= d
+            continue
+        ahead = [row[m] for m in tracked]
+        index, xtab, stab = {}, [], []
+        for key in keys:
+            s, rest = (key[0], key[1:]) if a > 1 else (0, key)
+            xs = range(s % a, d, a)
+            xtab.append([step * x for x in xs])
+            stab.append([index.setdefault(
+                tuple([(t + (x - s) % d // a * c) % d
+                       for t, c in zip(rest, ahead)]), len(index))
+                for x in xs])
+        cols.append(
+            (list(chain.from_iterable(map(xtab.__getitem__, states))), 1)
+            if a > 1 else (xtab[0], size))
+        states = list(chain.from_iterable(map(stab.__getitem__, states)))
+        keys = list(index)
+        size *= d // a
+    return tuple(zip(*[_column(values, size // (len(values) * outer), outer)
+                       for values, outer in cols])) or ((),)
+
+
+def image_subgroup_factored(mat: LinkingMatrix, mod: int, scale: int = 1
+                            ) -> tuple[tuple[int, ...], ...]:
+    """The subgroup scale * Im(mat) of (Z_mod)^n, in lexicographic order,
+    walked from the Hermite basis with no deduplication and no sort.
+
+    With g = gcd(scale, mod) and d = mod / g, scale * Im(mat) is g times
+    Im(mat) mod d: scale / g is a unit mod d, so it permutes that
+    subgroup, and x -> g x is increasing on [0, d).  The size
+    prod d / a_i is read off the pivots, and an output of more than the
+    budget is refused before any column is built."""
+    if mod < 1:
+        raise StructureError("modulus must be positive")
+    g = math.gcd(scale, mod)
+    d = mod // g
+    n = len(mat)
+    rows = _hermite_rows(list(zip(*mat)), d)
+    count = math.prod(d // row[i] for i, row in enumerate(rows))
+    if count * max(1, n) > ENUMERATION_LIMIT:
+        raise StructureError(f"enumeration of {count} subgroup elements of "
+                             f"{n} coordinates exceeds size limit")
+    return _lex_walk(rows, d, g)
 
 
 def homology_representatives(mat: LinkingMatrix, d: int

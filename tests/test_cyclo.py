@@ -163,6 +163,40 @@ def test_powers_and_rationals():
     assert q.coeffs[0] == Fraction(-3, 7)
 
 
+def test_powers_spend_no_product_by_one(monkeypatch):
+    # square-and-multiply from the lowest set bit: x**(2^k) costs k
+    # products, x**3 one squaring and one product
+    x = cyclo_field(24).zeta(5)
+    calls = []
+    mul = CycloNumber.__mul__
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(CycloNumber, "__mul__", counting_mul)
+    for exponent, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2),
+                               (8, 3), (20, 5)):
+        calls.clear()
+        x ** exponent
+        assert len(calls) == products, exponent
+
+
+def test_powers_match_repeated_multiplication():
+    field = cyclo_field(24)
+    for x in (field.zeta(7), field.zeta(5) + 2 * field.zeta(1)):
+        assert x ** 0 == field.one
+        acc = field.one
+        for exponent in range(21):
+            assert x ** exponent == acc, exponent
+            acc = acc * x
+        inv = x.invert()
+        acc = field.one
+        for exponent in range(0, -6, -1):
+            assert x ** exponent == acc, exponent
+            acc = acc * inv
+
+
 # -- the multiply-accumulate kernel against long division ---------------------
 
 # Phi_105 is the first cyclotomic polynomial with a coefficient -2; 40, 56,

@@ -3,11 +3,13 @@ brute-force cross-validation, and matrix-level transport."""
 
 import math
 import random
+import time
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinmod import structures
 from spinmod.structures import (ENUMERATION_LIMIT, GeneratedCoset,
                                 StructureError, as_matrix,
                                 brute_chern_vectors,
@@ -320,3 +322,112 @@ def test_howell_representatives_pinned_cases(n, d):
     assert homology_representatives(zero, d) \
         == tuple(product(range(d), repeat=n))
     check_representatives(zero, d)
+
+
+# ---------------------------------------------------------------------------
+# Subgroups from the Hermite walk, against breadth-first closure
+
+# largest subgroup the closure oracle is asked to build per example
+CLOSURE_BUDGET = 2000
+
+
+@st.composite
+def subgroup_cases(draw):
+    """(mat, d): n in 0..6, d in 1..12, every entry a multiple of a drawn
+    divisor q of d, so the pivots run over 1, d and proper divisors of d
+    while Im L (inside q Z_d) stays within the closure budget."""
+    d = draw(st.integers(1, 12))
+    n = draw(st.integers(0, 6))
+    q = draw(st.sampled_from([q for q in range(1, d + 1) if d % q == 0
+                              and (d // q) ** n <= CLOSURE_BUDGET]))
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mat[i][j] = mat[j][i] = q * draw(st.integers(-4, 4))
+    return as_matrix(mat), d
+
+
+def check_hermite_basis(mat, d):
+    rows = structures._hermite_rows(list(zip(*mat)), d)
+    pivots = [row[i] for i, row in enumerate(rows)]
+    assert howell_pivots(mat, d) == tuple(pivots)
+    for i, row in enumerate(rows):
+        assert d % pivots[i] == 0
+        assert not any(row[:i])
+        assert all(0 <= x < d for x in row[i + 1:])
+        # reduced above every pivot: a column with pivot 1 is zero above it
+        assert all(0 <= above[i] < pivots[i] for above in rows[:i])
+
+
+@settings(max_examples=120, deadline=None)
+@given(subgroup_cases())
+def test_image_subgroup_walk_matches_closure(case):
+    mat, d = case
+    check_hermite_basis(mat, d)
+    # the same points in the same (sorted) order
+    assert image_subgroup_factored(mat, d) == image_subgroup(mat, d)
+    assert image_subgroup_factored(mat, 2 * d, 2) \
+        == image_subgroup(mat, 2 * d, 2)
+
+
+@pytest.mark.parametrize("scale,mod", [(3, 8), (4, 6), (-2, 6), (6, 9),
+                                       (0, 5), (5, 5)])
+def test_image_subgroup_walk_with_a_scale_not_dividing_the_modulus(scale,
+                                                                   mod):
+    for mat in ([[2, 1], [1, 2]], [[0, 3], [3, 4]], [[1, 0, 2], [0, 4, 0],
+                                                     [2, 0, 0]]):
+        mat = as_matrix(mat)
+        assert image_subgroup_factored(mat, mod, scale) \
+            == image_subgroup(mat, mod, scale)
+
+
+def test_image_subgroup_walk_pinned_cases():
+    # basis rows (2, 2), (0, 4) at d = 8: after x_0 = 2 the second
+    # coordinate starts at the carried sum 2, not at 0
+    mat = as_matrix([[2, 2], [2, 6]])
+    assert structures._hermite_rows(list(zip(*mat)), 8) == [[2, 2], [0, 4]]
+    assert image_subgroup_factored(mat, 8)[:4] == ((0, 0), (0, 4), (2, 2),
+                                                   (2, 6))
+    assert image_subgroup_factored(mat, 8) == image_subgroup(mat, 8)
+    assert image_subgroup_factored(as_matrix([]), 7) == ((),)
+    assert image_subgroup_factored(as_matrix([[0]]), 10 ** 9) == ((0,),)
+    assert image_subgroup_factored(as_matrix([[1]]), 1) == ((0,),)
+    with pytest.raises(StructureError):
+        image_subgroup_factored(as_matrix([[1]]), 0)
+
+
+def test_image_subgroup_walk_needs_no_smith_form_and_no_coset(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Hermite walk called it")
+
+    monkeypatch.setattr(structures, "smith_normal_form", forbidden)
+    monkeypatch.setattr(GeneratedCoset, "points", forbidden)
+    rng = random.Random(8)
+    for _ in range(20):
+        mat = rand_symmetric(rng, rng.randint(0, 4))
+        d = rng.choice([2, 3, 4, 6])
+        image_subgroup_factored(mat, d)
+        image_subgroup_factored(mat, 2 * d, 2)
+        homology_classes(mat, d)
+        chern_vectors(mat, d)
+
+
+def test_image_subgroup_walk_refuses_before_building_a_column(monkeypatch):
+    # |Im L| = 2^25 for the 25 x 25 identity at d = 2: refused from the
+    # pivots alone
+    walks = []
+    walk = structures._lex_walk
+    monkeypatch.setattr(structures, "_lex_walk",
+                        lambda *args: walks.append(args) or walk(*args))
+    eye = as_matrix([[int(i == j) for j in range(25)] for i in range(25)])
+    start = time.perf_counter()
+    with pytest.raises(StructureError, match="exceeds size limit"):
+        image_subgroup_factored(eye, 2)
+    with pytest.raises(StructureError, match="exceeds size limit"):
+        homology_classes(eye, 2)
+    with pytest.raises(StructureError, match="exceeds size limit"):
+        chern_vectors(eye, 2)
+    assert time.perf_counter() - start < 1
+    assert walks == []
+    assert len(image_subgroup_factored(as_matrix([[1]]), 2)) == 2
+    assert len(walks) == 1
