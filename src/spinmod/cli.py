@@ -9,6 +9,13 @@ all-pass, or 1 on a verification failure (with a witness in the report).
 ``OSError`` becomes one ``error: ...`` line on stderr.  ``SPINMOD_SEED``
 overrides the default seed; given the same seed, reports are
 byte-identical.
+
+A call imports only the modules its subcommand runs: besides the standard
+library this module loads ``category`` (for ``check_axioms``), and each
+handler imports the rest when it runs, so ``structures`` never compiles
+``invariants`` or ``verify``.  The suite names live only in
+``verify.ALL_SUITES``; ``verify.run_suite`` rejects an unknown one, which
+exits 2 like any other bad input.
 """
 
 from __future__ import annotations
@@ -18,10 +25,7 @@ import json
 import os
 import sys
 
-from . import formats, structures, verify
 from .category import check_axioms
-from .invariants import Evaluator
-from .surgery import forest_signature
 
 
 class InputError(ValueError):
@@ -29,6 +33,7 @@ class InputError(ValueError):
 
 
 def load_forest(source: str):
+    from . import formats
     with open(source, encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -40,6 +45,7 @@ def load_forest(source: str):
 def load_category(source: str):
     """A category to evaluate: a file must pass the premodular axioms, a
     builtin is correct by construction and not rechecked."""
+    from . import formats
     cat = formats.resolve_category(source)
     bad = [] if source.startswith("builtin:") else check_axioms(cat).violations
     if bad:
@@ -48,6 +54,7 @@ def load_category(source: str):
 
 
 def load_matrix(source: str):
+    from .structures import as_matrix
     text = source
     if not source.lstrip().startswith("["):
         with open(source, encoding="utf-8") as fh:
@@ -59,7 +66,7 @@ def load_matrix(source: str):
         else:
             rows = [[int(v) for v in ln.split()]
                     for ln in text.splitlines() if ln.strip()]
-        return structures.as_matrix(rows)
+        return as_matrix(rows)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"bad matrix {source!r}: {exc}") from exc
 
@@ -87,6 +94,7 @@ def _pretty(obj: dict, indent: int = 0) -> None:
 
 
 def _run_category(args) -> int:
+    from . import formats
     cat = formats.resolve_category(args.source)
     if args.action == "check":
         report = check_axioms(cat)
@@ -110,6 +118,7 @@ def _run_category(args) -> int:
 
 
 def _run_manifold(args) -> int:
+    from .surgery import forest_signature
     f = load_forest(args.source)
     mat = f.linking_matrix()
     sig = forest_signature(f)
@@ -123,12 +132,13 @@ def _run_manifold(args) -> int:
     return 0
 
 
-# structure kind -> representatives of the set over L mod d
+# structure kind -> representatives of the set over L mod d, from the
+# structures module
 _STRUCTURE_KINDS = {
-    "spin": lambda mat, d: structures.spin_solutions(mat, d).solutions,
-    "coh": lambda mat, d: structures.cohomology_classes(mat, d).solutions,
-    "chern": structures.chern_representatives,
-    "hom": structures.homology_representatives,
+    "spin": lambda s, mat, d: s.spin_solutions(mat, d).solutions,
+    "coh": lambda s, mat, d: s.cohomology_classes(mat, d).solutions,
+    "chern": lambda s, mat, d: s.chern_representatives(mat, d),
+    "hom": lambda s, mat, d: s.homology_representatives(mat, d),
 }
 
 # refinement -> its table, from an Evaluator, a forest and the arguments
@@ -142,7 +152,9 @@ _REFINEMENTS = {
 
 
 def _run_structures(args) -> int:
-    reps = _STRUCTURE_KINDS[args.kind](load_matrix(args.matrix), args.d)
+    from . import structures
+    reps = _STRUCTURE_KINDS[args.kind](structures, load_matrix(args.matrix),
+                                       args.d)
     out = {"kind": args.kind, "d": args.d, "count": len(reps),
            "representatives": [list(r) for r in reps]}
     print(json.dumps(out, indent=2, sort_keys=True))
@@ -150,6 +162,8 @@ def _run_structures(args) -> int:
 
 
 def _run_invariant(args) -> int:
+    from . import formats
+    from .invariants import Evaluator
     cat = load_category(args.category)
     f = load_forest(args.manifold)
     ev = Evaluator(cat)
@@ -177,6 +191,7 @@ def _run_verify(args) -> int:
     if args.category and args.suite not in ("sum", "kirby"):
         raise InputError("--category applies only to the sum and kirby "
                          "suites")
+    from . import verify
     if args.suite == "all":
         reports = verify.run_all(seed=args.seed)
     else:
@@ -240,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.set_defaults(handler=_run_verify)
-    p_ver.add_argument("suite", choices=sorted(verify.ALL_SUITES) + ["all"])
+    p_ver.add_argument("suite", help="a key of verify.ALL_SUITES, or all")
     # a string default goes through type=int, so a bad SPINMOD_SEED is a
     # usage error like a bad --seed
     p_ver.add_argument("--seed", type=int,

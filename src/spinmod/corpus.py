@@ -14,6 +14,9 @@ import random
 from .surgery import (Move, PlumbingForest, apply_move, blow_down, blow_up,
                       chain, forest, reverse, stabilize)
 
+# chance that a random forest's vertex v > 0 hangs under an earlier vertex
+EDGE_PROB = 0.7
+
 
 def e8_forest() -> PlumbingForest:
     """The E8 plumbing tree, all framings 2; its form is positive definite."""
@@ -39,11 +42,11 @@ def classics() -> list[tuple[str, PlumbingForest]]:
 
 
 def random_forest(rng: random.Random, max_vertices: int = 8,
-                  max_framing: int = 5, edge_prob: float = 0.7) -> PlumbingForest:
+                  max_framing: int = 5) -> PlumbingForest:
     n = rng.randint(1, max_vertices)
     edges = []
     for v in range(1, n):
-        if rng.random() < edge_prob:
+        if rng.random() < EDGE_PROB:
             edges.append((rng.randrange(v), v, rng.choice([1, -1])))
     framings = [rng.randint(-max_framing, max_framing) for _ in range(n)]
     return forest(framings, edges)

@@ -14,8 +14,11 @@ from .category import CategoryData, Label, MalformedCategoryError
 from .constructions import ConstructionError, abelian_category, sl2_category, \
     trivial_category
 from .cyclo import CycloNumber, cyclo_field, make_root
-from .invariants import InvariantValue, RefinedInvariantTable
 from .surgery import PlumbingForest, forest
+
+# InvariantValue and RefinedInvariantTable (from invariants) appear only in
+# annotations, which are never evaluated, so reading a file does not import
+# the evaluator
 
 
 class FormatError(ValueError):

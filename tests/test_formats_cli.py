@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -15,12 +16,13 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinmod import formats
+from spinmod import formats, verify
 from spinmod.cli import main
 from spinmod.constructions import abelian_category, sl2_category
 from spinmod.corpus import e8_forest
 from spinmod.cyclo import make_root
 from spinmod.invariants import Evaluator
+from spinmod.structures import coker_count
 from spinmod.surgery import chain, forest
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -516,6 +518,22 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def assert_refused_before_enumerating(argv):
+    """The command exits 2 with one size-limit line, within 2 s and a 1 GB
+    address space."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "spinmod.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=20,
+                          preexec_fn=_cap_address_space)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "exceeds size limit" in errors[0]
+    assert elapsed < 2
+
+
 @pytest.mark.parametrize("case", list(OVERSIZED))
 def test_cli_oversized_structure_set_exits_2_before_enumerating(case,
                                                                 tmp_path):
@@ -528,17 +546,79 @@ def test_cli_oversized_structure_set_exits_2_before_enumerating(case,
         forest_file.write_text("".join(f"vertex {v} framing 0\n"
                                        for v in range(24)))
         argv = argv + ["--manifold", str(forest_file)]
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "spinmod.cli", *argv],
+    assert_refused_before_enumerating(argv)
+
+
+def test_cli_hom_table_on_the_seeded_250_vertex_tree_exits_2(tmp_path):
+    # complete binary trees drawn in turn from one stream, as perfbench's
+    # seeded_tree draws them with max_framing=4; the last has 2^26 classes
+    rng = random.Random(1)
+    for n in (10, 30, 60, 120, 250):
+        edges = [((v - 1) // 2, v, rng.choice((1, -1))) for v in range(1, n)]
+        tree = forest([rng.randint(-4, 4) for _ in range(n)], edges)
+    assert coker_count(tree.linking_matrix(), 2) == 1 << 26
+    forest_file = tmp_path / "tree250.forest"
+    forest_file.write_text(formats.forest_to_text(tree))
+    assert_refused_before_enumerating(
+        ["invariant", "--category", "builtin:sl2:6", "--refine", "hom",
+         "--d", "2", "--manifold", str(forest_file)])
+
+
+# Runs one command, then prints the spinmod modules it loaded.
+PROBE = ("import json, sys\n"
+         "from spinmod.cli import main\n"
+         "rc = main(sys.argv[1:])\n"
+         "print(json.dumps([m for m in sys.modules\n"
+         "                  if m.startswith('spinmod.')]))\n"
+         "sys.exit(rc)\n")
+
+
+def loaded_modules(*argv):
+    """Exit status, stderr lines and the short names of the spinmod modules
+    that one command loads in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
-                          capture_output=True, text=True, timeout=20,
-                          preexec_fn=_cap_address_space)
-    elapsed = time.perf_counter() - start
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
-    assert len(errors) == 1 and "exceeds size limit" in errors[0]
-    assert elapsed < 2
+                          capture_output=True, text=True, timeout=60)
+    names = json.loads(proc.stdout.splitlines()[-1])
+    return (proc.returncode, proc.stderr.splitlines(),
+            {name.split(".", 1)[1] for name in names})
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
+    forest_file = tmp_path / "m.forest"
+    forest_file.write_text("vertex 0 framing 1\n")
+    assert loaded_modules("structures", "spin", "--matrix", "[[1]]",
+                          "--d", "2") == \
+        (0, [], {"cli", "category", "cyclo", "structures"})
+    for argv in (("manifold", "show", str(forest_file)),
+                 ("category", "check", "builtin:sl2:5")):
+        rc, _, mods = loaded_modules(*argv)
+        assert rc == 0 and {"formats", "surgery"} <= mods
+        assert not mods & {"invariants", "corpus", "verify"}
+    rc, _, mods = loaded_modules("invariant", "--category", "builtin:sl2:8",
+                                 "--manifold", str(forest_file),
+                                 "--refine", "spin")
+    assert rc == 0 and "invariants" in mods
+    assert not mods & {"corpus", "verify"}
+    # formats names invariants' classes only in annotations
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, spinmod.formats; "
+         "print(sorted(m for m in sys.modules if m.startswith('spinmod.')))"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=60)
+    assert "formats" in proc.stdout and "invariants" not in proc.stdout
+
+
+def test_cli_verify_unknown_suite_names_every_suite():
+    # the suite names live in verify.ALL_SUITES, and run_suite rejects others
+    rc, err = run_cli_err("verify", "bogus")
+    assert rc == 2 and len(err) == 1 and err[0].startswith("error: ")
+    assert all(repr(name) in err[0] for name in verify.ALL_SUITES)
+    # bad counts are refused before verify is imported
+    rc, err, mods = loaded_modules("verify", "sum", "--corpus-size", "-3")
+    assert rc == 2 and err == ["error: --corpus-size and --sequences must "
+                               "be positive"]
+    assert "verify" not in mods
 
 
 def test_cli_verify_reports_are_seed_deterministic():
