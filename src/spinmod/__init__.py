@@ -14,6 +14,7 @@ Subpackages:
 - ``corpus``: named classics and seeded random manifold corpora.
 - ``formats``: text file formats and JSON/CSV serialization.
 - ``verify``: machine verification suites with witnesses.
+- ``budget``: the one size limit every large request is charged against.
 - ``cli``: the ``spinmod`` command line tool.
 """
 

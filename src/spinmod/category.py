@@ -23,6 +23,7 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
+from .budget import charge
 from .cyclo import CycloField, CycloNumber
 
 
@@ -186,34 +187,38 @@ def check_axioms(cat: CategoryData) -> AxiomReport:
     #   left  = sum_e N_ab^e Q[e],    right = sum_e P[a][e] T[b][e].
     # Every term is nonnegative and every digit is at most (largest row
     # sum of N) * (largest N) < 2^w, so the digits never carry and the two
-    # integers are equal exactly when the two sides are.
+    # integers are equal exactly when the two sides are.  P, Q and T[b]
+    # each hold n^3 w bits, which are charged before any is packed; T[b] is
+    # built once, for its b, and the mismatched digits of every (a, b) are
+    # reported in (a, b, c; d) order at the end.
     fusion = cat.fusion
     most = (max(sum(row) for plane in fusion for row in plane)
             * max(max(row) for plane in fusion for row in plane))
     w = max(1, most.bit_length())
     group = n * w
+    charge(n * n * group, f"packed fusion associativity on {n} labels: "
+           f"{n * n * group} bits per table")
     packed = [[sum(m << w * d for d, m in enumerate(row) if m) for row in plane]
               for plane in fusion]
     q = [sum(p << group * c for c, p in enumerate(prow)) for prow in packed]
-    t = []
-    for plane in fusion:
+    mask = (1 << w) - 1
+    mismatches = []
+    for b, plane in enumerate(fusion):
         tb = [0] * n
         for c, row in enumerate(plane):
             for e, m in enumerate(row):
                 if m:
                     tb[e] += m << group * c
-        t.append(tb)
-    mask = (1 << w) - 1
-    for a in range(n):
-        pa = packed[a]
-        for b in range(n):
+        for a in range(n):
             left = sum(m * q[e] for e, m in enumerate(fusion[a][b]) if m)
-            right = sum(map(mul, pa, t[b]))
+            right = sum(map(mul, packed[a], tb))
             if left != right:
-                for k in range(n * n):
-                    if (left >> w * k) & mask != (right >> w * k) & mask:
-                        c, d = divmod(k, n)
-                        complain(f"fusion associativity fails at ({a},{b},{c};{d})")
+                mismatches += [(a, b, k) for k in range(n * n)
+                               if (left >> w * k) & mask
+                               != (right >> w * k) & mask]
+    for a, b, k in sorted(mismatches):
+        c, d = divmod(k, n)
+        complain(f"fusion associativity fails at ({a},{b},{c};{d})")
     # Ribbon identity: twist(a) twist(b) smat[a][b] = sum_c N^c_ab twist(c) qdim(c).
     for a in range(n):
         for b in range(a, n):

@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from .category import check_axioms
 
@@ -72,8 +73,14 @@ def load_matrix(source: str):
 
 
 def _emit(obj: dict, fmt: str) -> None:
+    """Print ``obj`` as JSON (tuples as lists) or as indented text.  The
+    JSON is written in blocks of chunks as it is encoded, so an output the
+    charges admitted is never held whole as one string."""
     if fmt == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+        while block := "".join(islice(chunks, 8192)):
+            sys.stdout.write(block)
+        print()
     else:
         _pretty(obj)
 
@@ -155,9 +162,8 @@ def _run_structures(args) -> int:
     from . import structures
     reps = _STRUCTURE_KINDS[args.kind](structures, load_matrix(args.matrix),
                                        args.d)
-    out = {"kind": args.kind, "d": args.d, "count": len(reps),
-           "representatives": [list(r) for r in reps]}
-    print(json.dumps(out, indent=2, sort_keys=True))
+    _emit({"kind": args.kind, "d": args.d, "count": len(reps),
+           "representatives": reps}, "json")
     return 0
 
 

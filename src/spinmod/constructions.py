@@ -60,28 +60,22 @@ def sl2_category(r: int) -> CategoryData:
     n = r - 1
     field = cyclo_field(4 * r)
     base = _quantum_integers(field, r)
+    signed = (base, [-v for v in base])
 
-    def quantum(m: int) -> CycloNumber:
-        # A^(2r) = -1 gives [m + r] = -[m].
-        v = base[m % r]
-        return -v if (m // r) % 2 else v
+    def quantum(m: int, sign: int) -> CycloNumber:
+        # (-1)^sign [m], as A^(2r) = -1 gives [m + r] = -[m]
+        return signed[(m // r + sign) % 2][m % r]
 
     qdim = []
     twist = []
     for i in range(n):
-        q = quantum(i + 1)
         t = field.zeta((i * i + 2 * i) % (4 * r))
-        if i % 2:
-            q = -q
-            t = -t
-        qdim.append(q)
-        twist.append(t)
+        qdim.append(quantum(i + 1, i))
+        twist.append(-t if i % 2 else t)
     smat = [[field.zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = quantum((i + 1) * (j + 1))
-            if (i + j) % 2:
-                v = -v
+            v = quantum((i + 1) * (j + 1), i + j)
             smat[i][j] = v
             smat[j][i] = v
     fusion = [[[0] * n for _ in range(n)] for _ in range(n)]

@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import count, product
 
 from . import structures, surgery
+from .budget import charge
 from .category import (CategoryData, Grading, GradingError, KirbyColor,
                        RefinableStructure, _monodromy_scale,
                        default_primitive_root, grading, invertibles,
@@ -301,15 +302,16 @@ class Evaluator:
 
         Each vertex's factor per supported label, the weight times
         `_scale`(lam, framing, degree - 1), is built once, so a coloring
-        of the supports costs n + |E| multiplies."""
+        of the supports costs n + |E| multiplies; the colorings are
+        charged, times n, before the first."""
         vecs = [_weight_vec(self.cat, w) for w in weights]
         n = forest.n
-        size = self.cat.size
-        if size ** n > 1 << 22:
-            raise InvariantError("brute-force coloring space too large")
         supports = [_support(vec) for vec in vecs]
+        colorings = math.prod(map(len, supports))
+        charge(colorings * n, f"brute-force sum over {colorings} colorings "
+               f"of {n} vertices")
         field = self.cat.field
-        if not all(supports):
+        if not colorings:
             return field.zero
         factors = []
         for v, support in enumerate(supports):
@@ -467,9 +469,8 @@ class Evaluator:
         one set per grading of modulus g: the characteristic solutions of
         L s = (g/2) diag(L) mod g when the generator has twist -1, the
         kernel of L mod g otherwise.  Entries are keyed by the concatenated
-        vectors; a product whose output, |points| x |grads| n coordinates,
-        exceeds the enumeration budget is refused before any point is
-        built."""
+        vectors; the output, |points| x (|grads| n + 1) units, is charged
+        before any point is built."""
         mat = forest.linking_matrix()
         sig = forest_signature(forest)
         minus_one = -self.cat.field.one
@@ -478,10 +479,9 @@ class Evaluator:
                  else structures.cohomology_classes)(mat, g.modulus).solutions
                 for g in grads]
         count = math.prod(map(len, sets))
-        if count * len(sets) * forest.n > structures.ENUMERATION_LIMIT:
-            raise RefinementError(f"product of {len(sets)} structure sets, "
-                                  f"{count} points of {len(sets) * forest.n}"
-                                  " coordinates, exceeds size limit")
+        width = len(sets) * forest.n
+        charge(count * (width + 1), f"product of {len(sets)} structure sets: "
+               f"{count} points of {width} coordinates")
         points = [sum(combo, ()) for combo in product(*sets)]
         raw = self._graded_values(grads, forest, points)
         return RefinedInvariantTable(
@@ -524,6 +524,15 @@ class Evaluator:
         sig = forest_signature(forest)
         rhs = (structures.characteristic_rhs(mat, mod) if spinc
                else (0,) * forest.n)
+        # |classes| = |coker(L mod d)| = |ker(L mod d)|, L being square, so
+        # building them first charges a hom table's points before the Smith
+        # form runs; spinc has |ker(L mod 2d)| points, from its pivots
+        classes = (structures.chern_representatives if spinc
+                   else structures.homology_representatives)(mat, d)
+        if spinc:
+            count = math.prod(structures.howell_pivots(mat, mod))
+            charge(count * (forest.n + 1), f"spinc table over {count} points "
+                   f"of {forest.n} coordinates")
         # never None: diag(L) mod 2 lies in Im(L mod 2) for symmetric L
         sols = structures.solution_coset(mat, rhs, mod)
         powers = [self.cat.field.one]
@@ -531,9 +540,6 @@ class Evaluator:
             powers.append(powers[-1] * grad.e_d)
         sums = _character_sums(
             self._graded_values([grad], forest, sols.points()), sols, powers)
-        classes = (structures.chern_representatives if spinc
-                   else structures.homology_representatives)(mat, d)
-        # |classes| = |coker(L mod d)| = |ker(L mod d)|, L being square
         scale = Fraction((-1) ** forest.n if spinc else 1, len(classes))
         # entry r reads the transform at f_i(r) = r.c_i / (mod/g_i) mod g_i
         freqs = [(g, [(j, x // (mod // g)) for j, x in enumerate(c) if x])
@@ -623,9 +629,9 @@ class MooParams:
 
 
 def _check_enumeration_budget(mat, values, bound: int, tree):
-    """Refuse an oversized Gauss sum before any work; otherwise return the
-    plan `_quadratic_sum` runs: `tree`, the `_support_order` of `mat`, or
-    None for the dense loop.
+    """Charge a Gauss sum before any work, and return the plan
+    `_quadratic_sum` runs: `tree`, the `_support_order` of `mat`, or None
+    for the dense loop.
 
     The dense loop is charged prod |values[v]| vectors, the forest pass
     n * base^2 * bound with base = max |values[v]| (about the integer work
@@ -636,13 +642,10 @@ def _check_enumeration_budget(mat, values, bound: int, tree):
     base = max(map(len, values), default=0)
     dense = math.prod(map(len, values))
     if tree is not None and n * base * base * bound < dense:
-        if n * base * base * bound > structures.ENUMERATION_LIMIT:
-            raise MooError(f"Gauss sum on a forest of {n} vertices with "
-                           f"{base} values and {bound} residues each "
-                           "exceeds size limit")
+        charge(n * base * base * bound, f"Gauss sum on a forest of {n} "
+               f"vertices with {base} values and {bound} residues each")
         return tree
-    if dense > structures.ENUMERATION_LIMIT:
-        raise MooError(f"Gauss sum over {base}^{n} vectors exceeds size limit")
+    charge(dense, f"Gauss sum over {base}^{n} vectors")
     return None
 
 

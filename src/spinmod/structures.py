@@ -28,15 +28,13 @@ import math
 from dataclasses import dataclass
 from itertools import chain, product, repeat
 
-LinkingMatrix = tuple[tuple[int, ...], ...]
+from .budget import charge
 
-# Full enumerations whose output (vectors x coordinates) would exceed this
-# are refused with a clear error, from their counts, before they start.
-ENUMERATION_LIMIT = 1 << 24
+LinkingMatrix = tuple[tuple[int, ...], ...]
 
 
 class StructureError(ValueError):
-    """Invalid structure vector, modulus, or oversized enumeration."""
+    """Invalid structure vector or modulus."""
 
 
 def as_matrix(rows) -> LinkingMatrix:
@@ -168,17 +166,16 @@ class GeneratedCoset:
         return math.prod(self.orders)
 
     def points(self) -> list[tuple[int, ...]]:
-        """Every point, in lexicographic order of k; refused when count x n
-        coordinates exceeds the budget.
+        """Every point, in lexicographic order of k; charged count x
+        (n + 1) units, its coordinates and the tuple holding them.
 
         Built one coordinate column at a time: each generator expands every
         entry x of a column into x, x + g, x + 2g, ... (mod modulus), read
         from a table over the residues the column holds, so the work stays
         within the size of the output; the columns zip into points."""
-        if self.count * max(1, len(self.offset)) > ENUMERATION_LIMIT:
-            raise StructureError(f"enumeration of {self.count} vectors of "
-                                 f"{len(self.offset)} coordinates exceeds "
-                                 "size limit")
+        n = len(self.offset)
+        charge(self.count * (n + 1),
+               f"enumeration of {self.count} vectors of {n} coordinates")
         if not self.offset:
             return [()] * self.count
         d = self.modulus
@@ -225,7 +222,7 @@ def solution_coset(mat, rhs, d: int) -> GeneratedCoset | None:
 
 def solve_mod(mat, rhs, d: int) -> list[tuple[int, ...]]:
     """All x in (Z_d)^n with mat @ x = rhs (mod d), sorted lexicographically;
-    refused before enumerating when there are more than the budget."""
+    charged before enumerating."""
     coset = solution_coset(mat, rhs, d)
     return [] if coset is None else sorted(coset.points())
 
@@ -292,8 +289,7 @@ def _close_subgroup(gens: list[tuple[int, ...]], mod: int, n: int
         for g in gens:
             nxt = tuple((c + x) % mod for c, x in zip(cur, g))
             if nxt not in seen:
-                if len(seen) >= ENUMERATION_LIMIT:
-                    raise StructureError("subgroup closure exceeds size limit")
+                charge((len(seen) + 1) * (n + 1), "subgroup closure")
                 seen.add(nxt)
                 frontier.append(nxt)
     return tuple(sorted(seen))
@@ -435,8 +431,8 @@ def image_subgroup_factored(mat: LinkingMatrix, mod: int, scale: int = 1
     With g = gcd(scale, mod) and d = mod / g, scale * Im(mat) is g times
     Im(mat) mod d: scale / g is a unit mod d, so it permutes that
     subgroup, and x -> g x is increasing on [0, d).  The size
-    prod d / a_i is read off the pivots, and an output of more than the
-    budget is refused before any column is built."""
+    prod d / a_i is read off the pivots and charged, times n + 1 units
+    per point, before any column is built."""
     if mod < 1:
         raise StructureError("modulus must be positive")
     g = math.gcd(scale, mod)
@@ -444,9 +440,8 @@ def image_subgroup_factored(mat: LinkingMatrix, mod: int, scale: int = 1
     n = len(mat)
     rows = _hermite_rows(list(zip(*mat)), d)
     count = math.prod(d // row[i] for i, row in enumerate(rows))
-    if count * max(1, n) > ENUMERATION_LIMIT:
-        raise StructureError(f"enumeration of {count} subgroup elements of "
-                             f"{n} coordinates exceeds size limit")
+    charge(count * (n + 1),
+           f"enumeration of {count} subgroup elements of {n} coordinates")
     return _lex_walk(rows, d, g)
 
 
@@ -460,12 +455,7 @@ def homology_representatives(mat: LinkingMatrix, d: int
     without touching the earlier ones, and the box holds prod a_i =
     |coker| vectors.  So the box is the set of lex-minimal
     representatives, and no vector outside it is visited."""
-    pivots = howell_pivots(mat, d)
-    count = math.prod(pivots)
-    if count * len(pivots) > ENUMERATION_LIMIT:
-        raise StructureError(f"enumeration of {count} homology classes of "
-                             f"{len(pivots)} coordinates exceeds size limit")
-    return tuple(product(*[range(a) for a in pivots]))
+    return _box(mat, d, (0,) * len(mat), 1)
 
 
 def chern_representatives(mat: LinkingMatrix, d: int
@@ -476,9 +466,19 @@ def chern_representatives(mat: LinkingMatrix, d: int
     tau - tau' is in Im L mod d, so these are the homology representatives
     mapped by tau -> parity + 2 tau.  The map is strictly increasing in
     every coordinate, so lex-minimality and sorted order carry over."""
-    parity = [mat[i][i] % 2 for i in range(len(mat))]
-    return tuple(tuple(p + 2 * t for p, t in zip(parity, tau))
-                 for tau in homology_representatives(mat, d))
+    return _box(mat, d, [mat[i][i] % 2 for i in range(len(mat))], 2)
+
+
+def _box(mat: LinkingMatrix, d: int, base, step: int
+         ) -> tuple[tuple[int, ...], ...]:
+    """base + step * tau for tau in the box prod [0, a_i) of the Howell
+    pivots, in lex order; charged count x (n + 1) units."""
+    pivots = howell_pivots(mat, d)
+    count = math.prod(pivots)
+    charge(count * (len(pivots) + 1), f"enumeration of {count} classes of "
+           f"{len(pivots)} coordinates")
+    return tuple(product(*[range(b, b + step * a, step)
+                           for a, b in zip(pivots, base)]))
 
 
 def homology_classes(mat: LinkingMatrix, d: int) -> CosetSet:
@@ -511,7 +511,7 @@ def coker_count(mat: LinkingMatrix, d: int) -> int:
 
 def brute_spin_solutions(mat: LinkingMatrix, d: int) -> tuple[tuple[int, ...], ...]:
     n = len(mat)
-    _check_brute(d, n)
+    charge(d ** n, f"brute-force search over {d}^{n} vectors")
     rhs = characteristic_rhs(mat, d)
     return tuple(x for x in product(range(d), repeat=n)
                  if _mat_vec_mod(mat, x, d) == rhs)
@@ -519,7 +519,7 @@ def brute_spin_solutions(mat: LinkingMatrix, d: int) -> tuple[tuple[int, ...], .
 
 def brute_cohomology_classes(mat: LinkingMatrix, d: int) -> tuple[tuple[int, ...], ...]:
     n = len(mat)
-    _check_brute(d, n)
+    charge(d ** n, f"brute-force search over {d}^{n} vectors")
     zero = (0,) * n
     return tuple(x for x in product(range(d), repeat=n)
                  if _mat_vec_mod(mat, x, d) == zero)
@@ -529,7 +529,7 @@ def brute_chern_vectors(mat: LinkingMatrix, d: int) -> tuple[tuple[int, ...], ..
     """Independent enumeration: the subgroup 2 Im L is produced by running
     over all of (Z_d)^n rather than by closure."""
     n = len(mat)
-    _check_brute(d, n)
+    charge(d ** n, f"brute-force search over {d}^{n} vectors")
     two_d = 2 * d
     sub = {tuple(2 * s % two_d for s in _mat_vec_mod(mat, x, d))
            for x in product(range(d), repeat=n)}
@@ -548,7 +548,7 @@ def brute_chern_vectors(mat: LinkingMatrix, d: int) -> tuple[tuple[int, ...], ..
 
 def brute_homology_classes(mat: LinkingMatrix, d: int) -> tuple[tuple[int, ...], ...]:
     n = len(mat)
-    _check_brute(d, n)
+    charge(d ** n, f"brute-force search over {d}^{n} vectors")
     sub = {_mat_vec_mod(mat, x, d) for x in product(range(d), repeat=n)}
     seen: set[tuple[int, ...]] = set()
     classes = []
@@ -559,12 +559,6 @@ def brute_homology_classes(mat: LinkingMatrix, d: int) -> tuple[tuple[int, ...],
         for s in sub:
             seen.add(tuple((a + b) % d for a, b in zip(x, s)))
     return tuple(classes)
-
-
-def _check_brute(d: int, n: int) -> None:
-    if d ** n > ENUMERATION_LIMIT:
-        raise StructureError(
-            f"brute-force search space {d}^{n} exceeds {ENUMERATION_LIMIT}")
 
 
 # ---------------------------------------------------------------------------

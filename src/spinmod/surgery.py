@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import structures
+from .budget import charge
 
 
 class ForestError(ValueError):
@@ -108,7 +109,9 @@ class PlumbingForest:
         return tuple(parent), tuple(sign), tuple(order)
 
     def linking_matrix(self) -> structures.LinkingMatrix:
+        """The dense n x n matrix, charged its n^2 entries."""
         n = self.n
+        charge(n * n, f"linking matrix of {n} vertices")
         mat = [[0] * n for _ in range(n)]
         for v, m in enumerate(self.framings):
             mat[v][v] = m

@@ -3,6 +3,7 @@ structures, Kirby colors."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -187,6 +188,21 @@ def test_packed_associativity_matches_the_channel_triple_loop(name):
             assert report[first:first + len(got)] == got
             seen_failures += 1
     assert seen_failures >= 6
+
+
+def test_packed_associativity_holds_one_table_b_at_a_time():
+    # P, Q and one T[b] hold n^3 w bits each (about 19 KB here); all n
+    # tables T[b] at once would be n^4 w bits, about 0.55 MiB
+    cat = sl2_category(32)
+    rows = [row for plane in cat.fusion for row in plane]
+    w = (max(map(sum, rows)) * max(map(max, rows))).bit_length()
+    tracemalloc.start()
+    try:
+        check_axioms(cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cat.size ** 4 * w // 8 // 2
 
 
 def test_malformed_data_rejected_before_checking():

@@ -564,6 +564,43 @@ def test_cli_hom_table_on_the_seeded_250_vertex_tree_exits_2(tmp_path):
          "--d", "2", "--manifold", str(forest_file)])
 
 
+@pytest.mark.parametrize("case", ["sl2_200", "chain_20000"])
+def test_cli_oversized_allocations_exit_2_before_building(case, tmp_path):
+    # the packed fusion tables of sl2(200) are 199^3 * 7 bits each, and the
+    # 20,000-vertex chain's linking matrix has 4 * 10^8 entries
+    if case == "sl2_200":
+        argv = ["category", "check", "builtin:sl2:200"]
+    else:
+        forest_file = tmp_path / "chain.forest"
+        forest_file.write_text(formats.forest_to_text(chain([2] * 20000)))
+        argv = ["manifold", "show", str(forest_file)]
+    assert_refused_before_enumerating(argv)
+
+
+def test_cli_admitted_one_coordinate_output_fits_the_cap(tmp_path):
+    # 2^22 kernel vectors of one coordinate are admitted; their JSON, about
+    # 112 MB, is written as it is encoded, within a 1 GB address space
+    out = tmp_path / "out.json"
+    with open(out, "w", encoding="utf-8") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinmod.cli", "structures", "coh",
+             "--matrix", "[[0]]", "--d", str(1 << 22)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=fh,
+            stderr=subprocess.PIPE, text=True, timeout=180,
+            preexec_fn=_cap_address_space)
+    try:
+        assert proc.returncode in (0, 2), proc.stderr
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 0:
+            head = '{\n  "count": 4194304,\n  "d": 4194304,\n'
+            with open(out, encoding="utf-8") as fh:
+                assert fh.read(len(head)) == head
+        else:
+            assert len(proc.stderr.splitlines()) == 1
+    finally:
+        out.unlink()
+
+
 # Runs one command, then prints the spinmod modules it loaded.
 PROBE = ("import json, sys\n"
          "from spinmod.cli import main\n"
@@ -589,7 +626,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     forest_file.write_text("vertex 0 framing 1\n")
     assert loaded_modules("structures", "spin", "--matrix", "[[1]]",
                           "--d", "2") == \
-        (0, [], {"cli", "category", "cyclo", "structures"})
+        (0, [], {"cli", "budget", "category", "cyclo", "structures"})
     for argv in (("manifold", "show", str(forest_file)),
                  ("category", "check", "builtin:sl2:5")):
         rc, _, mods = loaded_modules(*argv)

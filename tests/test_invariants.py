@@ -19,7 +19,8 @@ from spinmod.invariants import (Evaluator, InvariantError, MooError,
                                 RefinementError, decomposition_check,
                                 decomposition_data, delta_weight, moo,
                                 moo_refined)
-from spinmod.structures import ENUMERATION_LIMIT, as_matrix
+from spinmod.budget import ENUMERATION_LIMIT, SizeLimitError
+from spinmod.structures import as_matrix
 from spinmod.surgery import apply_move, chain, forest, forest_signature, \
     reverse, signature, stabilize
 
@@ -545,11 +546,11 @@ def test_generalized_spin_product_is_refused_before_any_evaluation(
                         lambda self, *args: evaluated.append(args))
     # building the product at all would take gigabytes: fail first
     monkeypatch.setattr(invariants, "product", _unexpected_path)
-    with pytest.raises(RefinementError, match="exceeds size limit"):
+    with pytest.raises(SizeLimitError, match="exceeds size limit"):
         ev.wrt_generalized_spin(f, [t, t])
     # three sets of 2^7 points on 7 vertices: 2^21 points, but each has
     # 3 * 7 coordinates, so the output is 21 * 2^21 > 2^24
-    with pytest.raises(RefinementError, match="of 21 coordinates"):
+    with pytest.raises(SizeLimitError, match="of 21 coordinates"):
         ev.wrt_generalized_spin(forest([0] * 7), [t, t, t])
     assert evaluated == []
 
@@ -571,9 +572,9 @@ def test_moo_refuses_over_budget_before_enumerating(monkeypatch):
     mat = as_matrix([[1, 0], [0, 1]])
     xi = make_root(3, 1)
     m = math.isqrt(ENUMERATION_LIMIT) + 1
-    with pytest.raises(MooError, match="exceeds size limit"):
+    with pytest.raises(SizeLimitError, match="exceeds size limit"):
         moo(mat, m, xi)
-    with pytest.raises(MooError, match="exceeds size limit"):
+    with pytest.raises(SizeLimitError, match="exceeds size limit"):
         moo_refined(mat, MooParams(1, xi, alpha=m), (0, 0))
 
 
@@ -721,10 +722,11 @@ def test_moo_refuses_over_budget_before_enumerating_on_any_shape(
     monkeypatch.setattr(invariants, "_quadratic_sum", _unexpected_path)
     triangle = as_matrix([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
     assert surgery._support_order(triangle) is None
-    with pytest.raises(MooError, match="exceeds size limit"):
+    with pytest.raises(SizeLimitError, match="exceeds size limit"):
         moo(triangle, 257, make_root(3, 1))
     # a forest is charged n * m^2 * bound: 30 * 211^3 is over budget too
-    with pytest.raises(MooError, match="forest of 30 vertices .* exceeds"):
+    with pytest.raises(SizeLimitError,
+                       match="forest of 30 vertices .* exceeds"):
         moo(chain([2] * 30).linking_matrix(), 211, make_root(3, 1))
 
 

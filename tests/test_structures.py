@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinmod import structures
-from spinmod.structures import (ENUMERATION_LIMIT, GeneratedCoset,
-                                StructureError, as_matrix,
+from spinmod.budget import ENUMERATION_LIMIT, SizeLimitError
+from spinmod.structures import (GeneratedCoset, StructureError, as_matrix,
                                 brute_chern_vectors,
                                 brute_cohomology_classes,
                                 brute_homology_classes, brute_spin_solutions,
@@ -199,7 +199,7 @@ def test_transport_validates_elements():
 
 def test_enumeration_limits():
     big = as_matrix([[0] * 9 for _ in range(9)])
-    with pytest.raises(StructureError):
+    with pytest.raises(SizeLimitError):
         homology_classes(big, 8)
 
 
@@ -207,17 +207,17 @@ def test_solution_enumeration_refuses_before_walking():
     # 2^25 kernel vectors: refused from the Smith normal form alone
     zero = as_matrix([[0] * 25 for _ in range(25)])
     assert solution_coset(zero, (0,) * 25, 2).count == 2 ** 25
-    with pytest.raises(StructureError, match="exceeds size limit"):
+    with pytest.raises(SizeLimitError, match="exceeds size limit"):
         cohomology_classes(zero, 2)
-    with pytest.raises(StructureError, match="exceeds size limit"):
+    with pytest.raises(SizeLimitError, match="exceeds size limit"):
         homology_representatives(zero, 2)
     # exactly 2^24 vectors, but of 24 coordinates each: the budget charges
     # the output, so this is refused too
     zero = as_matrix([[0] * 24 for _ in range(24)])
     assert solution_coset(zero, (0,) * 24, 2).count == ENUMERATION_LIMIT
-    with pytest.raises(StructureError, match="exceeds size limit"):
+    with pytest.raises(SizeLimitError, match="exceeds size limit"):
         cohomology_classes(zero, 2)
-    with pytest.raises(StructureError, match="exceeds size limit"):
+    with pytest.raises(SizeLimitError, match="exceeds size limit"):
         homology_representatives(zero, 2)
     # a chain of 25 has few classes: no (Z_2)^25 walk is needed
     chain = [[0] * 25 for _ in range(25)]
@@ -264,7 +264,7 @@ def test_generated_coset_refuses_before_walking():
     gens = tuple(tuple(int(i == j) for j in range(25)) for i in range(25))
     coset = GeneratedCoset(2, (0,) * 25, gens, (2,) * 25)
     assert coset.count > ENUMERATION_LIMIT
-    with pytest.raises(StructureError, match="exceeds size limit"):
+    with pytest.raises(SizeLimitError, match="exceeds size limit"):
         coset.points()
 
 
@@ -421,11 +421,11 @@ def test_image_subgroup_walk_refuses_before_building_a_column(monkeypatch):
                         lambda *args: walks.append(args) or walk(*args))
     eye = as_matrix([[int(i == j) for j in range(25)] for i in range(25)])
     start = time.perf_counter()
-    with pytest.raises(StructureError, match="exceeds size limit"):
+    with pytest.raises(SizeLimitError, match="exceeds size limit"):
         image_subgroup_factored(eye, 2)
-    with pytest.raises(StructureError, match="exceeds size limit"):
+    with pytest.raises(SizeLimitError, match="exceeds size limit"):
         homology_classes(eye, 2)
-    with pytest.raises(StructureError, match="exceeds size limit"):
+    with pytest.raises(SizeLimitError, match="exceeds size limit"):
         chern_vectors(eye, 2)
     assert time.perf_counter() - start < 1
     assert walks == []
