@@ -26,6 +26,13 @@ class ConstructionError(ValueError):
     """Inputs violate the preconditions of a category construction."""
 
 
+def _root_order_bound(alpha: int, modulus: int) -> int:
+    """The power that must send a Gauss-sum root xi over Z_(alpha modulus)
+    to 1: alpha modulus for an odd modulus, 2 alpha modulus for an even
+    one."""
+    return alpha * modulus * (1 if modulus % 2 else 2)
+
+
 def trivial_category() -> CategoryData:
     field = cyclo_field(1)
     one = field.one
@@ -96,7 +103,7 @@ def sl2_category(r: int) -> CategoryData:
     )
 
 
-def abelian_category(n: int, q: CycloNumber, name: str | None = None) -> CategoryData:
+def abelian_category(n: int, q: CycloNumber) -> CategoryData:
     """Pointed category on Z_n: group-law fusion, qdim 1, twist(j) = q^(j^2).
 
     Hopf values are fixed by the ribbon identity, smat[j][k] =
@@ -117,7 +124,7 @@ def abelian_category(n: int, q: CycloNumber, name: str | None = None) -> Categor
     fusion = [[[1 if c == (a + b) % n else 0 for c in range(n)]
                for b in range(n)] for a in range(n)]
     return CategoryData(
-        name=name or f"abelian_{n}",
+        name=f"abelian_{n}",
         field=field,
         labels=tuple(Label(j, str(j)) for j in range(n)),
         dual=tuple((-j) % n for j in range(n)),
@@ -128,8 +135,7 @@ def abelian_category(n: int, q: CycloNumber, name: str | None = None) -> Categor
     )
 
 
-def product_category(a: CategoryData, b: CategoryData,
-                     name: str | None = None) -> CategoryData:
+def product_category(a: CategoryData, b: CategoryData) -> CategoryData:
     """Deligne-type product: labels are pairs, all data componentwise."""
     order = math.lcm(a.field.order, b.field.order)
     field = cyclo_field(order)
@@ -166,7 +172,7 @@ def product_category(a: CategoryData, b: CategoryData,
                         for (c2, m2) in b.fusion_channels(j1, j2):
                             fusion[idx(i1, j1)][idx(i2, j2)][idx(c1, c2)] = m1 * m2
     return CategoryData(
-        name=name or f"{a.name}(x){b.name}",
+        name=f"{a.name}(x){b.name}",
         field=field,
         labels=labels,
         dual=dual,
@@ -177,8 +183,7 @@ def product_category(a: CategoryData, b: CategoryData,
     )
 
 
-def reduced_subcategory(cat: CategoryData, grad: Grading, m: int,
-                        name: str | None = None) -> CategoryData:
+def reduced_subcategory(cat: CategoryData, grad: Grading, m: int) -> CategoryData:
     """Full subcategory on labels whose degree vanishes mod m (m | modulus)."""
     if m < 1 or grad.modulus % m != 0:
         raise ConstructionError(f"m={m} must divide the grading modulus {grad.modulus}")
@@ -192,7 +197,7 @@ def reduced_subcategory(cat: CategoryData, grad: Grading, m: int,
                         "degree-0 mod m labels are not closed under fusion")
     reindex = {old: new for new, old in enumerate(keep)}
     return CategoryData(
-        name=name or f"{cat.name}_mod{m}",
+        name=f"{cat.name}_mod{m}",
         field=cat.field,
         labels=tuple(Label(reindex[old], cat.labels[old].name) for old in keep),
         dual=tuple(reindex[cat.dual[old]] for old in keep),
@@ -206,8 +211,7 @@ def reduced_subcategory(cat: CategoryData, grad: Grading, m: int,
 
 def extend_category(cat: CategoryData, alpha: int, xi: CycloNumber,
                     f: tuple[int, ...] | list[int],
-                    grad: Grading | None = None,
-                    name: str | None = None) -> CategoryData:
+                    grad: Grading) -> CategoryData:
     """Cocycle extension with labels (V, k), k in Z_alpha.
 
     ``f`` lifts the degree map to Z_(alpha d) (f(V) = deg(V) mod d and
@@ -223,8 +227,6 @@ def extend_category(cat: CategoryData, alpha: int, xi: CycloNumber,
     """
     if alpha < 1:
         raise ConstructionError("alpha must be positive")
-    if grad is None:
-        grad = grading(cat, invertibles(cat))
     d = grad.modulus
     ad = alpha * d
     f = tuple(v % ad for v in f)
@@ -236,7 +238,7 @@ def extend_category(cat: CategoryData, alpha: int, xi: CycloNumber,
         if f[lam] % d != grad.degree[lam] % d:
             raise ConstructionError(
                 f"f({lam}) = {f[lam]} is not congruent to deg({lam}) mod {d}")
-    order_bound = ad if d % 2 else 2 * ad
+    order_bound = _root_order_bound(alpha, d)
     if not (xi ** order_bound).is_one():
         raise ConstructionError(
             f"xi^{order_bound} != 1; invalid extension root")
@@ -289,7 +291,7 @@ def extend_category(cat: CategoryData, alpha: int, xi: CycloNumber,
                     for l in range(alpha):
                         fusion[idx(v, k)][idx(vp, l)][idx(w, k + l + shift)] = mult
     return CategoryData(
-        name=name or f"{cat.name}_ext{alpha}",
+        name=f"{cat.name}_ext{alpha}",
         field=cat.field,
         labels=labels,
         dual=dual,
@@ -304,7 +306,7 @@ class ModularizationError(ValueError):
     """The transparent subgroup obstructs modularization."""
 
 
-def modularize(cat: CategoryData, name: str | None = None) -> CategoryData:
+def modularize(cat: CategoryData) -> CategoryData:
     """Quotient by the transparent subgroup when it has trivial twists,
     quantum dimension one, and acts freely on labels.
 
@@ -377,7 +379,7 @@ def modularize(cat: CategoryData, name: str | None = None) -> CategoryData:
                 raise ModularizationError(
                     f"fusion descent depends on representatives at ({i},{j})")
     return CategoryData(
-        name=name or f"{cat.name}_mod",
+        name=f"{cat.name}_mod",
         field=cat.field,
         labels=tuple(Label(i, "[" + cat.labels[rep[i]].name + "]")
                      for i in range(size)),
@@ -411,7 +413,7 @@ def search_higher_spin(min_order: int = 4, rs=(4, 5, 6, 7, 8, 9, 10, 11, 12),
         d = grad.modulus
         for alpha in alphas:
             ad = alpha * d
-            order_bound = ad if d % 2 else 2 * ad
+            order_bound = _root_order_bound(alpha, d)
             if base.field.order % order_bound:
                 continue
             step = base.field.order // order_bound

@@ -52,13 +52,13 @@ def random_forest(rng: random.Random, max_vertices: int = 8,
     return forest(framings, edges)
 
 
-def corpus(seed: int, size: int, max_vertices: int = 8,
-           max_framing: int = 5) -> list[tuple[str, PlumbingForest]]:
+def corpus(seed: int, size: int, max_vertices: int = 8
+           ) -> list[tuple[str, PlumbingForest]]:
     """Named classics followed by ``size`` seeded random forests."""
     rng = random.Random(seed)
     out = classics()
     for k in range(size):
-        out.append((f"random_{k}", random_forest(rng, max_vertices, max_framing)))
+        out.append((f"random_{k}", random_forest(rng, max_vertices)))
     return out
 
 

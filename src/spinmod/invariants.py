@@ -30,7 +30,7 @@ from .category import (CategoryData, Grading, GradingError, KirbyColor,
                        RefinableStructure, _monodromy_scale,
                        default_primitive_root, grading, invertibles,
                        kirby_color, refinable_structures)
-from .constructions import reduced_subcategory
+from .constructions import _root_order_bound, reduced_subcategory
 from .cyclo import CycloNumber, MatrixRow
 # `signature` is re-exported: `invariants.signature` is the dense route
 from .surgery import (PlumbingForest, SignaturePair, forest_signature,
@@ -379,17 +379,15 @@ class Evaluator:
             self._refinables = refinable_structures(self.cat, self.group())
         return self._refinables
 
-    def find_structure(self, order: int, spin: bool | None) -> RefinableStructure:
+    def find_structure(self, order: int, spin: bool) -> RefinableStructure:
         for s in self.refinables():
-            if s.order != order or s.generator is None:
-                continue
-            if spin is None or s.is_spin == spin:
+            if s.order == order and s.generator is not None \
+                    and s.is_spin == spin:
                 return s
-        wanted = {True: f"{order}-spin", False: f"non-spin {order}-refinable",
-                  None: f"{order}-refinable"}[spin]
+        wanted = f"{order}-spin" if spin else f"non-spin {order}-refinable"
         raise RefinementError(f"category {self.cat.name} is not {wanted}")
 
-    def structure_grading(self, order: int, spin: bool | None,
+    def structure_grading(self, order: int, spin: bool,
                           e_k: int = 1) -> Grading:
         return self._grading(self.find_structure(order, spin).generator, e_k)
 
@@ -757,7 +755,7 @@ def moo_refined(mat: structures.LinkingMatrix, params: MooParams,
         raise MooError("congruence class has wrong length")
     big = alpha * delta * m
     values = [range(c % delta, c % delta + big, delta) for c in klass]
-    bound = big if (delta * m) % 2 else 2 * big
+    bound = _root_order_bound(alpha, delta * m)
     tree = surgery._support_order(mat)
     plan = _check_enumeration_budget(mat, values, bound, tree)
     if not (xi ** bound).is_one():
@@ -830,20 +828,15 @@ def decomposition_data(cat: CategoryData) -> DecompositionData:
 
 
 def decomposition_check(cat: CategoryData, forest: PlumbingForest,
-                        data: DecompositionData | None = None,
-                        evaluator: Evaluator | None = None,
-                        reduced_evaluator: Evaluator | None = None) -> dict:
-    """Exact test of tau_C = tau_reduced * moo on one manifold; returns a
-    witness record."""
-    if data is None:
-        data = decomposition_data(cat)
-    ev = evaluator or Evaluator(cat)
-    red_ev = reduced_evaluator or Evaluator(data.reduced)
-    full = ev.wrt(forest)
-    part = red_ev.wrt(forest)
+                        data: DecompositionData, evaluator: Evaluator,
+                        reduced_evaluator: Evaluator) -> dict:
+    """Exact test of tau_C = tau_reduced * moo on one manifold, with the
+    evaluators of ``cat`` and of ``data.reduced``; returns a witness
+    record."""
+    full = evaluator.wrt(forest)
+    part = reduced_evaluator.wrt(forest)
     gauss = moo(forest.linking_matrix(), data.m, data.xi)
-    rhs = part.exact * cat.field.embed(gauss.exact) \
-        if gauss.exact.field is not cat.field else part.exact * gauss.exact
+    rhs = part.exact * cat.field.embed(gauss.exact)
     return {
         "equal": full.exact == rhs,
         "full": full,

@@ -569,9 +569,9 @@ _COSET_KINDS = {"chern", "hom"}
 KINDS = _SOLUTION_KINDS | _COSET_KINDS
 
 
-def _validate_element(kind: str, mat: LinkingMatrix, elem, d: int) -> tuple[int, ...]:
+def _validate_element(kind: str, mat: LinkingMatrix, elem, d: int,
+                      modulus: int) -> tuple[int, ...]:
     n = len(mat)
-    modulus = 2 * d if kind == "chern" else d
     if len(elem) != n:
         raise StructureError(f"element has length {len(elem)}, expected {n}")
     e = tuple(x % modulus for x in elem)
@@ -628,8 +628,8 @@ def transport(kind: str, mat: LinkingMatrix, move, elem, d: int
     (chern, hom) transform covariantly (coordinate i gains
     +orient * elem_j).  Reversal negates one coordinate for every kind.
     """
-    e = _validate_element(kind, mat, elem, d)
     modulus = 2 * d if kind == "chern" else d
+    e = _validate_element(kind, mat, elem, d, modulus)
     new_mat = move_matrix(mat, move)
     mkind = move[0]
     if mkind == "stabilize":
@@ -637,7 +637,7 @@ def transport(kind: str, mat: LinkingMatrix, move, elem, d: int
         if kind == "spin":
             extra = d // 2
         elif kind == "chern":
-            extra = sign % (2 * d)
+            extra = sign % modulus
         else:
             extra = 0
         return new_mat, e + (extra,)

@@ -131,12 +131,11 @@ def forest(framings, edges=()) -> PlumbingForest:
     return PlumbingForest(tuple(framings), tuple(sorted(norm)))
 
 
-def chain(framings, signs=None) -> PlumbingForest:
-    """A linear plumbing chain; lens spaces come from these."""
+def chain(framings) -> PlumbingForest:
+    """A linear plumbing chain with positive edges; lens spaces come from
+    these."""
     framings = tuple(framings)
-    if signs is None:
-        signs = (1,) * (len(framings) - 1)
-    edges = [(i, i + 1, signs[i]) for i in range(len(framings) - 1)]
+    edges = [(i, i + 1, 1) for i in range(len(framings) - 1)]
     return forest(framings, edges)
 
 
@@ -371,9 +370,8 @@ def structure_transport(kind: str, f: PlumbingForest, move: Move,
                                                  elem, d)
             cur, elem = structures.transport(kind, cur, ("slide", nb, w, -1),
                                              elem, d)
-        modulus = 2 * d if kind == "chern" else d
         forced = {"spin": d // 2, "coh": 0, "hom": None, "chern": None}[kind]
-        if forced is not None and elem[w] % modulus != forced % modulus:
+        if forced is not None and (elem[w] - forced) % d:
             raise structures.StructureError(
                 f"blow-down leaves coordinate {elem[w]}, expected {forced}")
         if kind == "chern" and elem[w] % 2 != 1:

@@ -37,6 +37,16 @@ KIRBY_RANDOM_BASES = 3
 # SPINC_SEARCH_RS, extension orders alpha in SPINC_SEARCH_ALPHAS
 SPINC_SEARCH_RS = (4, 5, 6, 8)
 SPINC_SEARCH_ALPHAS = (1, 2)
+# the axioms and refinability suites check sl2(r) for r in these ranges
+AXIOMS_RS = tuple(range(3, 13))
+REFINABILITY_RS = tuple(range(4, 13))
+# the sum suite's random forests have at most this many vertices
+SUM_MAX_VERTICES = 8
+# random instances per comparison in the oracle and bijection suites
+ORACLE_INSTANCES = 200
+BIJECTION_INSTANCES = 100
+# the decomposition suite splits the invariant of sl2(r) for these r
+DECOMPOSITION_RS = (5, 7, 9)
 
 
 @dataclass
@@ -47,12 +57,10 @@ class Report:
     witness: dict | None = None
     elapsed: float = 0.0
 
-    def render(self, show_time: bool = False) -> str:
-        # timing is excluded by default so that reports for a fixed seed
-        # are byte-identical across runs
+    def render(self) -> str:
+        # timing is excluded so that reports for a fixed seed are
+        # byte-identical across runs
         head = f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"
-        if show_time:
-            head += f" ({self.elapsed:.1f}s)"
         body = "".join(f"\n  {ln}" for ln in self.lines)
         if self.witness is not None:
             body += f"\n  witness: {self.witness}"
@@ -85,11 +93,11 @@ def _random_symmetric(rng, n: int, bound: int, off) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def verify_axioms(rs=tuple(range(3, 13))) -> Report:
+def verify_axioms() -> Report:
     """Premodular + modular + trivial transparency for the built-ins."""
     t0 = time.perf_counter()
     rep = Report("axioms", True)
-    for r in rs:
+    for r in AXIOMS_RS:
         cat = sl2_category(r)
         res = check_axioms(cat)
         ok = res.premodular and res.modular and res.transparent == (0,)
@@ -108,11 +116,11 @@ def verify_axioms(rs=tuple(range(3, 13))) -> Report:
     return _finish(rep, t0)
 
 
-def verify_refinability(rs=tuple(range(4, 13))) -> Report:
+def verify_refinability() -> Report:
     """Nontrivial 2-refinable iff r even; spin iff r divisible by 4."""
     t0 = time.perf_counter()
     rep = Report("refinability", True)
-    for r in rs:
+    for r in REFINABILITY_RS:
         cat = sl2_category(r)
         structs = [s for s in refinable_structures(cat) if not s.is_trivial]
         expect_refinable = (r % 2 == 0)
@@ -164,13 +172,11 @@ def verify_lemmas() -> Report:
 
 
 def _refinement_jobs(category=None):
-    """Pairs (category, refinement kind, modulus); defaults to the spin and
-    cohomological flagships, or derives the kind from a given category."""
+    """Triples (category, refinement kind, modulus); defaults to the spin
+    and cohomological flagships, or derives the kind from a given
+    ``CategoryData``."""
     if category is None:
         return ((sl2_category(8), "spin", 2), (sl2_category(6), "coh", 2))
-    if isinstance(category, str):
-        from .formats import resolve_category
-        category = resolve_category(category)
     structs = [s for s in refinable_structures(category)
                if not s.is_trivial and s.generator is not None]
     if not structs:
@@ -181,12 +187,11 @@ def _refinement_jobs(category=None):
     return ((category, "spin" if s.is_spin else "coh", s.order),)
 
 
-def verify_sum(seed: int = 7, size: int = 50, max_vertices: int = 8,
-               category=None) -> Report:
+def verify_sum(seed: int = 7, size: int = 50, category=None) -> Report:
     """Sum of each refined table equals the unrefined invariant, exactly."""
     t0 = time.perf_counter()
     rep = Report("sum", True)
-    manifolds = corpus(seed, size, max_vertices)
+    manifolds = corpus(seed, size, SUM_MAX_VERTICES)
     for cat, kind, d in _refinement_jobs(category):
         ev = Evaluator(cat)
         refined = ev.wrt_spin if kind == "spin" else ev.wrt_cohomology
@@ -248,7 +253,7 @@ def verify_kirby(seed: int = 7, sequences: int = 200,
     return _finish(rep, t0)
 
 
-def verify_oracle(seed: int = 7, instances: int = 200) -> Report:
+def verify_oracle(seed: int = 7) -> Report:
     """Message-passing evaluator vs brute-force coloring sums; SNF solver vs
     brute-force enumeration."""
     t0 = time.perf_counter()
@@ -259,7 +264,7 @@ def verify_oracle(seed: int = 7, instances: int = 200) -> Report:
             abelian_category(2, make_root(8, 1))]
     evs = [Evaluator(c) for c in cats]
     agree = 0
-    for k in range(instances):
+    for k in range(ORACLE_INSTANCES):
         i = rng.randrange(len(cats))
         cat, ev = cats[i], evs[i]
         f = random_forest(rng, max_vertices=4, max_framing=3)
@@ -278,21 +283,20 @@ def verify_oracle(seed: int = 7, instances: int = 200) -> Report:
                   {"category": cat.name, "forest": (f.framings, f.edges)})
         else:
             agree += 1
-    rep.lines.append(f"evaluator vs brute force: {agree}/{instances} exact")
+    rep.lines.append(
+        f"evaluator vs brute force: {agree}/{ORACLE_INSTANCES} exact")
     agree = 0
-    for k in range(instances):
+    for k in range(ORACLE_INSTANCES):
         n = rng.randint(1, 4)
         d = rng.choice([2, 2, 3, 4, 4, 5, 6, 8])
         mat = _random_symmetric(rng, n, 5, (0, 0, 0, 1, -1))
         m = as_matrix(mat)
-        ok = (structures.cohomology_classes(m, d).solutions
-              == structures.brute_cohomology_classes(m, d))
+        coh = structures.cohomology_classes(m, d).solutions
+        ok = coh == structures.brute_cohomology_classes(m, d)
         if d % 2 == 0:
-            ok = ok and (structures.spin_solutions(m, d).solutions
-                         == structures.brute_spin_solutions(m, d))
-            spin_count = len(structures.spin_solutions(m, d).solutions)
-            coh_count = len(structures.cohomology_classes(m, d).solutions)
-            ok = ok and spin_count in (0, coh_count)
+            spin = structures.spin_solutions(m, d).solutions
+            ok = (ok and spin == structures.brute_spin_solutions(m, d)
+                  and len(spin) in (0, len(coh)))
         ok = ok and (structures.homology_classes(m, d).classes
                      == structures.brute_homology_classes(m, d))
         if not ok:
@@ -300,17 +304,18 @@ def verify_oracle(seed: int = 7, instances: int = 200) -> Report:
                   {"matrix": mat, "d": d})
         else:
             agree += 1
-    rep.lines.append(f"SNF solver vs brute force: {agree}/{instances} exact")
+    rep.lines.append(
+        f"SNF solver vs brute force: {agree}/{ORACLE_INSTANCES} exact")
     return _finish(rep, t0)
 
 
-def verify_bijection(seed: int = 7, instances: int = 100) -> Report:
+def verify_bijection(seed: int = 7) -> Report:
     """|Chern-vector classes| equals the cokernel count |H^2(M; Z_d)|."""
     t0 = time.perf_counter()
     rep = Report("bijection", True)
     rng = random.Random(seed)
     agree = 0
-    for k in range(instances):
+    for k in range(BIJECTION_INSTANCES):
         n = rng.randint(1, 4)
         d = rng.choice([2, 3, 4])
         mat = _random_symmetric(rng, n, 5, (0, 0, 1, -1))
@@ -322,17 +327,17 @@ def verify_bijection(seed: int = 7, instances: int = 100) -> Report:
                   {"matrix": mat, "d": d})
         else:
             agree += 1
-    rep.lines.append(f"chern class count == cokernel count: {agree}/{instances}")
+    rep.lines.append(f"chern class count == cokernel count: "
+                     f"{agree}/{BIJECTION_INSTANCES}")
     return _finish(rep, t0)
 
 
-def verify_decomposition(seed: int = 7, size: int = 50,
-                         rs=(5, 7, 9)) -> Report:
+def verify_decomposition(seed: int = 7, size: int = 50) -> Report:
     """Exact splitting into the reduced invariant and the Gauss-sum factor."""
     t0 = time.perf_counter()
     rep = Report("decomposition", True)
     manifolds = corpus(seed, size)
-    for r in rs:
+    for r in DECOMPOSITION_RS:
         cat = sl2_category(r)
         data = decomposition_data(cat)
         ev = Evaluator(cat)

@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines, or via ``spinmod verify all``.
 """
 
+import inspect
 import time
 
 import pytest
@@ -30,13 +31,13 @@ def _report(number: int, label: str, rep, budget: float | None = None):
 
 
 def test_criterion_01_axioms():
-    rep = verify.verify_axioms(rs=tuple(range(3, 13)))
+    rep = verify.verify_axioms()
     _report(1, "axioms for sl2(3..12) and modular abelian instances", rep,
             budget=5.0)
 
 
 def test_criterion_02_refinability():
-    rep = verify.verify_refinability(rs=tuple(range(4, 13)))
+    rep = verify.verify_refinability()
     _report(2, "2-refinable iff r even, 2-spin iff 4 | r", rep)
 
 
@@ -47,7 +48,7 @@ def test_criterion_03_vanishing_lemmas():
 
 
 def test_criterion_04_sum_formulas():
-    rep = verify.verify_sum(seed=SEED, size=50, max_vertices=8)
+    rep = verify.verify_sum(seed=SEED, size=50)
     _report(4, "refined tables sum to the unrefined invariant (50-manifold "
                "corpus + classics)", rep, budget=60.0)
 
@@ -59,19 +60,19 @@ def test_criterion_05_move_invariance():
 
 
 def test_criterion_06_oracle_equivalence():
-    rep = verify.verify_oracle(seed=SEED, instances=200)
+    rep = verify.verify_oracle(seed=SEED)
     _report(6, "evaluator == brute force, SNF solver == brute force "
                "(200 instances each)", rep)
 
 
 def test_criterion_07_bijection_counts():
-    rep = verify.verify_bijection(seed=SEED, instances=100)
+    rep = verify.verify_bijection(seed=SEED)
     _report(7, "Chern-vector class counts equal cokernel counts "
                "(100 matrices)", rep)
 
 
 def test_criterion_08_decomposition():
-    rep = verify.verify_decomposition(seed=SEED, size=50, rs=(5, 7, 9))
+    rep = verify.verify_decomposition(seed=SEED, size=50)
     _report(8, "tau = tau_reduced * gauss factor, exactly, sl2(5/7/9)", rep,
             budget=60.0)
 
@@ -87,3 +88,10 @@ def test_criterion_10_spinc():
             rep)
     conditional = any("CONDITIONAL" in ln or "FOUND" in ln for ln in rep.lines)
     assert conditional, "spinc report must state whether the search succeeded"
+
+
+def test_suites_take_only_what_the_cli_sets():
+    # every other size of a criterion is a constant in verify.py
+    for name, fn in verify.ALL_SUITES.items():
+        params = set(inspect.signature(fn).parameters)
+        assert params <= {"seed", "size", "sequences", "category"}, name

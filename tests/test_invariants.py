@@ -425,7 +425,7 @@ def test_wrt_homology(ev6):
 def test_dual_color_orientation_reversal_identity(ev6):
     # replacing v by -v on a reversed vertex leaves the value unchanged
     grad = ev6.structure_grading(2, spin=False)
-    f = chain([2, 3], signs=(1,))
+    f = chain([2, 3])
     g = apply_move(f, reverse(0))
     for v0 in range(2):
         for v1 in range(2):
@@ -711,8 +711,8 @@ def test_gauss_sums_on_forests_never_take_the_dense_signature(monkeypatch):
     cat = sl2_category(5)
     ev, red = Evaluator(cat), Evaluator(decomposition_data(cat).reduced)
     for f in (chain([2, 3]), e8_forest()):
-        assert decomposition_check(cat, f, evaluator=ev,
-                                   reduced_evaluator=red)["equal"]
+        assert decomposition_check(cat, f, decomposition_data(cat),
+                                   evaluator=ev, reduced_evaluator=red)["equal"]
     # the refined-moo partition identity passes its own signatures
     assert verify.verify_moo().passed
 
