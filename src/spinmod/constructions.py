@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 
+from .budget import charge
 from .category import (CategoryData, Grading, Label, check_axioms, grading,
                        invertibles, refinable_structures)
-from .cyclo import CycloField, CycloNumber, cyclo_field
+from .cyclo import CycloField, CycloNumber, cyclo_field, euler_phi
 
 
 # the degree lifts f = deg + d * shift that `search_higher_spin` tries
@@ -61,9 +62,14 @@ def sl2_category(r: int) -> CategoryData:
 
     Data: qdim(i) = (-1)^i [i+1], twist(i) = (-1)^i A^(i^2+2i),
     Hopf matrix (-1)^(i+j) [(i+1)(j+1)], truncated Clebsch-Gordan fusion.
+    Charged its r^2 S-matrix entries of phi(4r) coordinates before the
+    field is built.
     """
     if r < 3:
         raise ConstructionError("r must be at least 3")
+    phi = euler_phi(4 * r)
+    charge(r * r * phi, f"sl2({r}): {r * r} S-matrix entries of {phi} "
+           f"coordinates")
     n = r - 1
     field = cyclo_field(4 * r)
     base = _quantum_integers(field, r)
@@ -110,10 +116,12 @@ def abelian_category(n: int, q: CycloNumber) -> CategoryData:
     twist(j+k) / (twist(j) twist(k)).  This equals q^(2jk) exactly when
     q^n = 1 for odd n, respectively q^(2n) = 1 for even n (the Gauss-sum
     root conditions), and it keeps the data ribbon-consistent for every
-    invertible q.  Modularity is decided by ``check_axioms``.
+    invertible q.  Modularity is decided by ``check_axioms``.  Charged
+    its n^3 fusion entries before any is built.
     """
     if n < 1:
         raise ConstructionError("n must be positive")
+    charge(n ** 3, f"abelian category on Z_{n}: {n ** 3} fusion entries")
     field = q.field
     twist = [field.one]
     for j in range(1, n):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from .budget import charge
 from .surgery import (Move, PlumbingForest, apply_move, blow_down, blow_up,
                       chain, forest, reverse, stabilize)
 
@@ -54,7 +55,10 @@ def random_forest(rng: random.Random, max_vertices: int = 8,
 
 def corpus(seed: int, size: int, max_vertices: int = 8
            ) -> list[tuple[str, PlumbingForest]]:
-    """Named classics followed by ``size`` seeded random forests."""
+    """Named classics followed by ``size`` seeded random forests; charged
+    size x ``max_vertices`` vertices before any is drawn."""
+    charge(size * max_vertices, f"corpus of {size} random forests of up "
+           f"to {max_vertices} vertices")
     rng = random.Random(seed)
     out = classics()
     for k in range(size):

@@ -40,6 +40,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 
+from .budget import charge
+
 
 class FieldMismatchError(ValueError):
     """Raised when combining numbers from different cyclotomic fields."""
@@ -204,13 +206,16 @@ class CycloField:
         if order < 1:
             raise ValueError("order must be positive")
         self.order = order
+        # x^k mod Phi_N for k = d .. max(N-1, 2d-2), each row as its
+        # nonzero (index, coefficient) pairs; charged rows x d
+        # coefficients before Phi_N is computed.
+        d = euler_phi(order)
+        top = max(order - 1, 2 * d - 2)
+        charge((top - d + 1) * d, f"cyclotomic field Q(zeta_{order}): "
+               f"{top - d + 1} reduction rows of {d} coefficients")
         phi = cyclotomic_polynomial(order)
         self.phi_coeffs = phi
-        d = len(phi) - 1
         self.degree = d
-        # x^k mod Phi_N for k = d .. max(N-1, 2d-2), each row as its
-        # nonzero (index, coefficient) pairs.
-        top = max(order - 1, 2 * d - 2)
         rows: list[tuple[tuple[int, int], ...]] = []
         base = [-c for c in phi[:d]]
         cur = base

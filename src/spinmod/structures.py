@@ -7,10 +7,11 @@ For a linking matrix L these are, over Z_d (or Z_2d for Chern vectors):
 - chern: {sigma : sigma_i = L_ii mod 2} / 2 Im L   in (Z_2d)^n,
 - hom:   (Z_d)^n / Im L                            (classes in H_1).
 
-Solution sets are computed by Smith-normal-form reduction and enumerated
-over independent cyclic generators.  The subgroups Im L and 2 Im L come
-from one triangular (Hermite) basis of Im L + d Z^n, built by the same
-column elimination that gives the Howell pivots: a lexicographic walk of
+Solution sets are computed by reduction to a diagonal form mod d (the
+Smith form's divisibility chain is not needed) and enumerated over
+independent cyclic generators.  The subgroups Im L and 2 Im L come from
+one triangular (Hermite) basis of Im L + d Z^n, built by the same column
+elimination that gives the Howell pivots: a lexicographic walk of
 that basis lists each subgroup in sorted order, and 2 Im L in (Z_2d)^n is
 the d-walk with its values doubled.  Coset representatives are
 canonicalized by lexicographic minimality, so structure sets compare as
@@ -55,17 +56,20 @@ def as_matrix(rows) -> LinkingMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Diagonal form mod d
 
 
 def smith_normal_form(mat, mod: int
                       ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """U, D, V with U @ mat @ V = D (mod ``mod``), D diagonal with
-    d_i | d_(i+1), and U and V invertible mod ``mod``.
+    """U, D, V with U @ mat @ V = D (mod ``mod``), D diagonal, and U and V
+    invertible mod ``mod``.
 
-    Every entry is kept reduced into [0, mod), which is all the modular
-    solvers use.  Over the integers U and V can grow to hundreds of
-    thousands of bits on 30-vertex trees; reduced, they cannot grow."""
+    D is a diagonal form, without the Smith form's chain d_i | d_(i+1):
+    the solvers and counts over Z_mod read only gcd(d_i, mod), which any
+    diagonal form gives, so a pivot is done once its row and column are
+    clear.  Every entry is kept reduced into [0, mod), which is all the
+    modular solvers use.  Over the integers U and V can grow to hundreds
+    of thousands of bits on 30-vertex trees; reduced, they cannot grow."""
     if mod < 1:
         raise StructureError("modulus must be positive")
     a = [list(map(int, row)) for row in mat]
@@ -129,20 +133,8 @@ def smith_normal_form(mat, mod: int
                     if a[t][j]:
                         swap_cols(t, j)
                         reduced = False
-            if not reduced:
-                continue
-            # enforce divisibility of the rest of the block by the pivot
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            if reduced:
                 break
-            add_row(t, offender, 1)
         t += 1
     return u, a, v
 
@@ -495,8 +487,8 @@ def chern_vectors(mat: LinkingMatrix, d: int) -> CosetSet:
 
 
 def coker_count(mat: LinkingMatrix, d: int) -> int:
-    """|coker(L mod d)| from the Smith normal form, independent of the
-    coset enumerations."""
+    """|coker(L mod d)| = prod gcd(d_i, d) over the diagonal form of
+    `smith_normal_form`, independent of the coset enumerations."""
     n = len(mat)
     _, dd, _ = smith_normal_form(mat, d)
     count = 1

@@ -21,8 +21,11 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import structures
 from .budget import charge
+
+# structures appears only in annotations, which are never evaluated, and
+# in `structure_transport`, which imports it, so building or showing a
+# forest does not load the structure solvers
 
 
 class ForestError(ValueError):
@@ -341,6 +344,7 @@ def structure_transport(kind: str, f: PlumbingForest, move: Move,
     matrix-level primitives (stabilize + slide).  The result is valid for
     ``apply_move(f, move)``.
     """
+    from . import structures
     mat = f.linking_matrix()
     if move.kind == "stabilize":
         _, elem = structures.transport(kind, mat, ("stabilize", move.sign),

@@ -19,6 +19,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import structures
+from .budget import charge
 from .category import check_axioms, kirby_color, refinable_structures
 from .constructions import abelian_category, search_higher_spin, sl2_category
 from .corpus import corpus, e8_forest, random_forest, random_move_sequence
@@ -226,6 +227,9 @@ def verify_kirby(seed: int = 7, sequences: int = 200,
             ("E8", e8_forest())]
     for k in range(KIRBY_RANDOM_BASES):
         base.append((f"random_{k}", random_forest(rng, max_vertices=5)))
+    charge(sequences * len(base) * KIRBY_MOVES_PER_SEQUENCE,
+           f"kirby suite of {sequences} move sequences of up to "
+           f"{KIRBY_MOVES_PER_SEQUENCE} moves on {len(base)} manifolds")
     for cat, kind, d in _refinement_jobs(category):
         ev = Evaluator(cat)
         refined = ev.wrt_spin if kind == "spin" else ev.wrt_cohomology

@@ -9,8 +9,8 @@ import pytest
 from spinmod import structures
 from spinmod.budget import ENUMERATION_LIMIT, SizeLimitError, charge
 from spinmod.category import check_axioms
-from spinmod.constructions import sl2_category
-from spinmod.cyclo import make_root
+from spinmod.constructions import abelian_category, sl2_category
+from spinmod.cyclo import CycloField, make_root
 from spinmod.invariants import Evaluator, moo
 from spinmod.structures import GeneratedCoset, as_matrix
 from spinmod.surgery import chain, forest
@@ -69,6 +69,13 @@ SITES = {
     "check_axioms": lambda: check_axioms(sl2_category(140)),
     "PlumbingForest.linking_matrix":
         lambda: chain([2] * 4097).linking_matrix(),
+    # 8,800 reduction rows of phi(12000) = 3,200 coefficients
+    "CycloField": lambda: CycloField(12000),
+    # the least r refused: 206^2 S-matrix entries of phi(824) = 408
+    # coordinates
+    "sl2_category": lambda: sl2_category(206),
+    # 256^3 fusion entries are the limit itself
+    "abelian_category": lambda: abelian_category(257, make_root(8, 1)),
 }
 
 
