@@ -35,16 +35,11 @@ class GradingError(ValueError):
     """Character values incompatible with the requested cyclic grading."""
 
 
-@dataclass(frozen=True)
-class Label:
-    index: int
-    name: str
-
-
 class CategoryData:
     """Numerical presentation of a premodular category.
 
-    Label indices are dense ``0..size-1`` with ``0`` the unit object.
+    ``labels`` is a tuple of label names; a label is its position
+    ``0..size-1`` in it, with ``0`` the unit object.
     ``smat[a][b]`` is the value of the (a,b)-colored 0-framed Hopf link
     with linking +1; ``fusion[a][b][c]`` the multiplicity of ``c`` in
     ``a (x) b``.  Instances are immutable by convention and safe to share.
@@ -74,9 +69,6 @@ class CategoryData:
         n = len(self.labels)
         if n == 0:
             raise MalformedCategoryError("empty label set")
-        for i, lab in enumerate(self.labels):
-            if lab.index != i:
-                raise MalformedCategoryError("label indices must be dense 0..n-1")
         if len(self.dual) != n or sorted(self.dual) != list(range(n)):
             raise MalformedCategoryError("dual must be a permutation of labels")
         for seq, what in ((self.qdim, "qdim"), (self.twist, "twist")):
@@ -504,7 +496,6 @@ class RefinableStructure:
     order: int
     generator: int | None
     is_spin: bool
-    spin_residue: int
 
     @property
     def is_trivial(self) -> bool:
@@ -531,16 +522,11 @@ def refinable_structures(cat: CategoryData,
             # Twists on a refinable subgroup must be +-1; anything else
             # signals corrupt data and the subgroup is skipped.
             continue
-        is_spin = -one in twists
-        gen = _cyclic_generator(group, elems)
-        order = len(elems)
-        spin_residue = order // 2 if is_spin else 0
         result.append(RefinableStructure(
             elements=tuple(sorted(elems)),
-            order=order,
-            generator=gen,
-            is_spin=is_spin,
-            spin_residue=spin_residue,
+            order=len(elems),
+            generator=_cyclic_generator(group, elems),
+            is_spin=-one in twists,
         ))
     result.sort(key=lambda s: (s.order, s.elements))
     return result
@@ -586,23 +572,14 @@ def _cyclic_generator(group: InvertibleGroup, elems: tuple[int, ...] | set[int]
     return None
 
 
-@dataclass
-class KirbyColor:
-    """A weight function on labels used to color surgery components.
-
-    kinds: ``plain`` (all labels, weight qdim), ``graded`` (labels of one
-    degree), ``dual`` (character-twisted weights e_d^(v deg) qdim).
-    """
-
-    kind: str
-    parameter: int
-    weights: tuple[CycloNumber, ...]
-
-
 def kirby_color(cat: CategoryData, kind: str, parameter: int = 0,
-                grad: Grading | None = None) -> KirbyColor:
+                grad: Grading | None = None) -> tuple[CycloNumber, ...]:
+    """The weights on the labels of a Kirby color, by ``kind``: ``plain``
+    (all labels, weight qdim), ``graded`` (the labels of degree
+    ``parameter``, weight qdim) or ``dual`` (character-twisted weights
+    e_d^(parameter deg) qdim)."""
     if kind == "plain":
-        return KirbyColor("plain", 0, tuple(cat.qdim))
+        return cat.qdim
     if grad is None:
         raise GradingError(f"{kind} Kirby color requires a grading")
     d = grad.modulus
@@ -610,14 +587,12 @@ def kirby_color(cat: CategoryData, kind: str, parameter: int = 0,
         raise ValueError(f"parameter {parameter} out of range [0,{d})")
     if kind == "graded":
         zero = cat.field.zero
-        weights = tuple(cat.qdim[lam] if grad.degree[lam] == parameter else zero
-                        for lam in range(cat.size))
-        return KirbyColor("graded", parameter, weights)
+        return tuple(cat.qdim[lam] if grad.degree[lam] == parameter else zero
+                     for lam in range(cat.size))
     if kind == "dual":
         e_pows = [cat.field.one]
         for _ in range(d - 1):
             e_pows.append(e_pows[-1] * grad.e_d)
-        weights = tuple(e_pows[(parameter * grad.degree[lam]) % d] * cat.qdim[lam]
-                        for lam in range(cat.size))
-        return KirbyColor("dual", parameter, weights)
+        return tuple(e_pows[(parameter * grad.degree[lam]) % d] * cat.qdim[lam]
+                     for lam in range(cat.size))
     raise ValueError(f"unknown Kirby color kind {kind!r}")

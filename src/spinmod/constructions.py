@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .budget import charge
-from .category import (CategoryData, Grading, Label, check_axioms, grading,
+from .category import (CategoryData, Grading, check_axioms, grading,
                        invertibles, refinable_structures)
 from .cyclo import CycloField, CycloNumber, cyclo_field, euler_phi
 
@@ -40,7 +40,7 @@ def trivial_category() -> CategoryData:
     return CategoryData(
         name="trivial",
         field=field,
-        labels=(Label(0, "1"),),
+        labels=("1",),
         dual=(0,),
         qdim=(one,),
         twist=(one,),
@@ -100,7 +100,7 @@ def sl2_category(r: int) -> CategoryData:
     return CategoryData(
         name=f"sl2_{r}",
         field=field,
-        labels=tuple(Label(i, str(i)) for i in range(n)),
+        labels=tuple(map(str, range(n))),
         dual=tuple(range(n)),
         qdim=qdim,
         twist=twist,
@@ -134,7 +134,7 @@ def abelian_category(n: int, q: CycloNumber) -> CategoryData:
     return CategoryData(
         name=f"abelian_{n}",
         field=field,
-        labels=tuple(Label(j, str(j)) for j in range(n)),
+        labels=tuple(map(str, range(n))),
         dual=tuple((-j) % n for j in range(n)),
         qdim=tuple(field.one for _ in range(n)),
         twist=twist,
@@ -156,10 +156,6 @@ def product_category(a: CategoryData, b: CategoryData) -> CategoryData:
     def idx(i: int, j: int) -> int:
         return i * nb + j
 
-    labels = []
-    for i in range(na):
-        for j in range(nb):
-            labels.append(Label(idx(i, j), f"{a.labels[i].name}*{b.labels[j].name}"))
     dual = [idx(a.dual[i], b.dual[j]) for i in range(na) for j in range(nb)]
     qdim = [emb_a(a.qdim[i]) * emb_a(b.qdim[j])
             for i in range(na) for j in range(nb)]
@@ -182,7 +178,7 @@ def product_category(a: CategoryData, b: CategoryData) -> CategoryData:
     return CategoryData(
         name=f"{a.name}(x){b.name}",
         field=field,
-        labels=labels,
+        labels=[f"{x}*{y}" for x in a.labels for y in b.labels],
         dual=dual,
         qdim=qdim,
         twist=twist,
@@ -207,7 +203,7 @@ def reduced_subcategory(cat: CategoryData, grad: Grading, m: int) -> CategoryDat
     return CategoryData(
         name=f"{cat.name}_mod{m}",
         field=cat.field,
-        labels=tuple(Label(reindex[old], cat.labels[old].name) for old in keep),
+        labels=tuple(cat.labels[old] for old in keep),
         dual=tuple(reindex[cat.dual[old]] for old in keep),
         qdim=tuple(cat.qdim[old] for old in keep),
         twist=tuple(cat.twist[old] for old in keep),
@@ -264,8 +260,6 @@ def extend_category(cat: CategoryData, alpha: int, xi: CycloNumber,
     def fx(v: int, k: int) -> int:
         return (f[v] + d * (k % alpha)) % ad
 
-    labels = [Label(idx(v, k), f"({cat.labels[v].name},{k})")
-              for v in range(na) for k in range(alpha)]
     dual = [0] * size
     for v in range(na):
         for k in range(alpha):
@@ -301,7 +295,7 @@ def extend_category(cat: CategoryData, alpha: int, xi: CycloNumber,
     return CategoryData(
         name=f"{cat.name}_ext{alpha}",
         field=cat.field,
-        labels=labels,
+        labels=[f"({x},{k})" for x in cat.labels for k in range(alpha)],
         dual=dual,
         qdim=qdim,
         twist=twist,
@@ -389,8 +383,7 @@ def modularize(cat: CategoryData) -> CategoryData:
     return CategoryData(
         name=f"{cat.name}_mod",
         field=cat.field,
-        labels=tuple(Label(i, "[" + cat.labels[rep[i]].name + "]")
-                     for i in range(size)),
+        labels=tuple(f"[{cat.labels[rep[i]]}]" for i in range(size)),
         dual=tuple(orbit_of[cat.dual[rep[i]]] for i in range(size)),
         qdim=tuple(cat.qdim[rep[i]] for i in range(size)),
         twist=tuple(cat.twist[rep[i]] for i in range(size)),

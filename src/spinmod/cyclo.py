@@ -85,14 +85,20 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, low degree first, monic.
 
-    Computed by dividing x^n - 1 by Phi_d for every proper divisor d of n.
+    With p the least prime factor of n = p m, Phi_n(x) is Phi_m(x^p) when
+    p divides m and Phi_m(x^p) / Phi_m(x) otherwise, from Phi_1 = x - 1.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
+    if n == 1:
+        return (-1, 1)
+    p = next((q for q in range(2, math.isqrt(n) + 1) if n % q == 0), n)
+    m = n // p
+    phi_m = cyclotomic_polynomial(m)
+    poly = [0] * ((len(phi_m) - 1) * p + 1)
+    poly[::p] = phi_m
+    if m % p:
+        poly = _poly_div_exact(poly, list(phi_m))
     return tuple(poly)
 
 
@@ -198,7 +204,7 @@ class CycloField:
     """Q(zeta_N) with precomputed reduction data for the power basis."""
 
     __slots__ = (
-        "order", "degree", "phi_coeffs", "_rows", "_zeta_cache",
+        "order", "degree", "_rows", "_zeta_cache",
         "_complex_powers", "zero", "one",
     )
 
@@ -214,7 +220,6 @@ class CycloField:
         charge((top - d + 1) * d, f"cyclotomic field Q(zeta_{order}): "
                f"{top - d + 1} reduction rows of {d} coefficients")
         phi = cyclotomic_polynomial(order)
-        self.phi_coeffs = phi
         self.degree = d
         rows: list[tuple[tuple[int, int], ...]] = []
         base = [-c for c in phi[:d]]

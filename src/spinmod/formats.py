@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .category import CategoryData, Label, MalformedCategoryError
+from .category import CategoryData, MalformedCategoryError
 from .constructions import ConstructionError, abelian_category, sl2_category, \
     trivial_category
 from .cyclo import CycloNumber, cyclo_field, make_root
@@ -64,8 +64,8 @@ def _cyclo_fields_str(x: CycloNumber) -> str:
 def category_to_text(cat: CategoryData) -> str:
     lines = ["spinmod-category v1", f"name {cat.name}", f"field {cat.field.order}",
              f"labels {cat.size}"]
-    for lab in cat.labels:
-        lines.append(f"label {lab.index} {lab.name}")
+    for i, name in enumerate(cat.labels):
+        lines.append(f"label {i} {name}")
     lines.append("dual " + " ".join(str(d) for d in cat.dual))
     for i in range(cat.size):
         lines.append(f"qdim {i} " + _cyclo_fields_str(cat.qdim[i]))
@@ -163,7 +163,7 @@ def category_from_text(text: str) -> CategoryData:
         return CategoryData(
             name=name,
             field=field,
-            labels=tuple(Label(i, label_names.get(i, str(i))) for i in range(n)),
+            labels=tuple(label_names.get(i, str(i)) for i in range(n)),
             dual=dual,
             qdim=tuple(qdim[i] for i in range(n)),
             twist=tuple(twist[i] for i in range(n)),

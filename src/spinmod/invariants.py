@@ -26,13 +26,14 @@ from itertools import count, product
 
 from . import structures, surgery
 from .budget import charge
-from .category import (CategoryData, Grading, GradingError, KirbyColor,
+from .category import (CategoryData, Grading, GradingError,
                        RefinableStructure, _monodromy_scale,
                        default_primitive_root, grading, invertibles,
                        kirby_color, refinable_structures)
 from .constructions import _root_order_bound, reduced_subcategory
 from .cyclo import CycloNumber, MatrixRow
-# `signature` is re-exported: `invariants.signature` is the dense route
+# `signature` stays importable from here: perfbench's tracer self-test
+# reads `invariants.signature`
 from .surgery import (PlumbingForest, SignaturePair, forest_signature,
                       signature)
 
@@ -106,7 +107,7 @@ class RefinedInvariantTable:
 
 
 def _weight_vec(cat: CategoryData, w) -> tuple[CycloNumber, ...]:
-    vec = w.weights if isinstance(w, KirbyColor) else tuple(w)
+    vec = tuple(w)
     if len(vec) != cat.size:
         raise InvariantError("weight vector length mismatch")
     return vec
@@ -116,11 +117,10 @@ def _support(vec) -> list[int]:
     return [lam for lam, w in enumerate(vec) if not w.is_zero()]
 
 
-def delta_weight(cat: CategoryData, label: int) -> KirbyColor:
+def delta_weight(cat: CategoryData, label: int) -> tuple[CycloNumber, ...]:
     """Weight selecting a single color with coefficient one."""
     one, zero = cat.field.one, cat.field.zero
-    weights = tuple(one if lam == label else zero for lam in range(cat.size))
-    return KirbyColor("delta", label, weights)
+    return tuple(one if lam == label else zero for lam in range(cat.size))
 
 
 def _check_modulus(d: int) -> None:
@@ -160,7 +160,6 @@ class Evaluator:
         self._group = None
         self._refinables: list[RefinableStructure] | None = None
         self._gradings: dict[tuple[int, int], Grading] = {}
-        self._plain = kirby_color(cat, "plain")
 
     # -- cached atoms --------------------------------------------------------
 
@@ -331,15 +330,14 @@ class Evaluator:
 
     # -- normalization -------------------------------------------------------
 
-    def plain_color(self) -> KirbyColor:
-        return self._plain
+    def plain_color(self) -> tuple[CycloNumber, ...]:
+        return self.cat.qdim
 
     def denominator(self, sign: int) -> CycloNumber:
         """F(U_sign(omega)), the plain-colored unknot of framing sign."""
         val = self._denoms.get(sign)
         if val is None:
-            val = self._denoms[sign] = self._fold(self._plain.weights, sign,
-                                                  0, ())
+            val = self._denoms[sign] = self._fold(self.cat.qdim, sign, 0, ())
         return val
 
     def _denominator_inv(self, sign: int) -> CycloNumber:
@@ -407,12 +405,14 @@ class Evaluator:
             self._gradings[key] = grad
         return grad
 
-    def graded_color(self, grad: Grading, u: int, e_k: int) -> KirbyColor:
+    def graded_color(self, grad: Grading, u: int,
+                     e_k: int) -> tuple[CycloNumber, ...]:
         """Graded color of degree u.  ``e_k`` is not consulted: the root
         convention travels with ``grad.e_d``."""
         return kirby_color(self.cat, "graded", u % grad.modulus, grad)
 
-    def dual_color(self, grad: Grading, v: int, e_k: int) -> KirbyColor:
+    def dual_color(self, grad: Grading, v: int,
+                   e_k: int) -> tuple[CycloNumber, ...]:
         """Dual color with character parameter v under ``grad.e_d``."""
         return kirby_color(self.cat, "dual", v % grad.modulus, grad)
 
@@ -420,7 +420,7 @@ class Evaluator:
 
     def wrt(self, forest: PlumbingForest) -> InvariantValue:
         sig = forest_signature(forest)
-        raw = self.eval_weighted(forest, [self._plain] * forest.n)
+        raw = self.eval_weighted(forest, [self.cat.qdim] * forest.n)
         return self.normalize(raw, sig)
 
     def wrt_spin(self, forest: PlumbingForest, d: int,

@@ -557,8 +557,6 @@ def brute_homology_classes(mat: LinkingMatrix, d: int) -> tuple[tuple[int, ...],
 # Move transport at the matrix level
 
 _SOLUTION_KINDS = {"spin", "coh"}
-_COSET_KINDS = {"chern", "hom"}
-KINDS = _SOLUTION_KINDS | _COSET_KINDS
 
 
 def _validate_element(kind: str, mat: LinkingMatrix, elem, d: int,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import inspect
 import random
-import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import product
@@ -56,21 +55,13 @@ class Report:
     passed: bool
     lines: list[str] = dataclass_field(default_factory=list)
     witness: dict | None = None
-    elapsed: float = 0.0
 
     def render(self) -> str:
-        # timing is excluded so that reports for a fixed seed are
-        # byte-identical across runs
         head = f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"
         body = "".join(f"\n  {ln}" for ln in self.lines)
         if self.witness is not None:
             body += f"\n  witness: {self.witness}"
         return head + body
-
-
-def _finish(report: Report, t0: float) -> Report:
-    report.elapsed = time.perf_counter() - t0
-    return report
 
 
 def _fail(report: Report, line: str, witness: dict) -> None:
@@ -96,7 +87,6 @@ def _random_symmetric(rng, n: int, bound: int, off) -> list[list[int]]:
 
 def verify_axioms() -> Report:
     """Premodular + modular + trivial transparency for the built-ins."""
-    t0 = time.perf_counter()
     rep = Report("axioms", True)
     for r in AXIOMS_RS:
         cat = sl2_category(r)
@@ -114,12 +104,11 @@ def verify_axioms() -> Report:
         if not (res.premodular and res.modular and res.transparent == (0,)):
             _fail(rep, f"{name} fails the axiom battery",
                   {"category": name, "violations": res.violations})
-    return _finish(rep, t0)
+    return rep
 
 
 def verify_refinability() -> Report:
     """Nontrivial 2-refinable iff r even; spin iff r divisible by 4."""
-    t0 = time.perf_counter()
     rep = Report("refinability", True)
     for r in REFINABILITY_RS:
         cat = sl2_category(r)
@@ -137,12 +126,11 @@ def verify_refinability() -> Report:
         if not ok:
             _fail(rep, f"sl2({r}) refinability mismatch",
                   {"r": r, "orders": orders, "spin": got_spin})
-    return _finish(rep, t0)
+    return rep
 
 
 def verify_lemmas() -> Report:
     """Exact graded-unknot vanishing and Kirby-color decomposition."""
-    t0 = time.perf_counter()
     rep = Report("lemmas", True)
     for r, spin, live in ((8, True, 1), (6, False, 0)):
         cat = sl2_category(r)
@@ -161,15 +149,14 @@ def verify_lemmas() -> Report:
         # graded colors resum to the plain Kirby color
         total = [cat.field.zero] * cat.size
         for u in range(grad.modulus):
-            w = ev.graded_color(grad, u, 1).weights
+            w = ev.graded_color(grad, u, 1)
             total = [a + b for a, b in zip(total, w)]
-        if tuple(total) != ev.plain_color().weights:
+        if tuple(total) != ev.plain_color():
             _fail(rep, f"sl2({r}): sum of graded Kirby colors != plain",
                   {"r": r})
-        dual0 = ev.dual_color(grad, 0, 1).weights
-        if tuple(dual0) != ev.plain_color().weights:
+        if ev.dual_color(grad, 0, 1) != ev.plain_color():
             _fail(rep, f"sl2({r}): dual color at v=0 != plain", {"r": r})
-    return _finish(rep, t0)
+    return rep
 
 
 def _refinement_jobs(category=None):
@@ -190,7 +177,6 @@ def _refinement_jobs(category=None):
 
 def verify_sum(seed: int = 7, size: int = 50, category=None) -> Report:
     """Sum of each refined table equals the unrefined invariant, exactly."""
-    t0 = time.perf_counter()
     rep = Report("sum", True)
     manifolds = corpus(seed, size, SUM_MAX_VERTICES)
     for cat, kind, d in _refinement_jobs(category):
@@ -211,14 +197,13 @@ def verify_sum(seed: int = 7, size: int = 50, category=None) -> Report:
             checked += 1
         rep.lines.append(f"{cat.name} ({kind}): table sums equal the "
                          f"invariant on {checked}/{len(manifolds)} manifolds")
-    return _finish(rep, t0)
+    return rep
 
 
 def verify_kirby(seed: int = 7, sequences: int = 200,
                  category=None) -> Report:
     """wrt and refined-table multisets are invariant under random move
     sequences (stabilize / blow-up / blow-down / reverse)."""
-    t0 = time.perf_counter()
     rep = Report("kirby", True)
     rng = random.Random(seed)
     base = [("S3_plus", forest([1])), ("S1xS2", forest([0])),
@@ -254,13 +239,12 @@ def verify_kirby(seed: int = 7, sequences: int = 200,
                 total += 1
         rep.lines.append(f"{cat.name} ({kind}): {total} move sequences, "
                          f"wrt and table multisets exactly invariant")
-    return _finish(rep, t0)
+    return rep
 
 
 def verify_oracle(seed: int = 7) -> Report:
     """Message-passing evaluator vs brute-force coloring sums; SNF solver vs
     brute-force enumeration."""
-    t0 = time.perf_counter()
     rep = Report("oracle", True)
     rng = random.Random(seed)
     cats = [sl2_category(5), sl2_category(6),
@@ -310,12 +294,11 @@ def verify_oracle(seed: int = 7) -> Report:
             agree += 1
     rep.lines.append(
         f"SNF solver vs brute force: {agree}/{ORACLE_INSTANCES} exact")
-    return _finish(rep, t0)
+    return rep
 
 
 def verify_bijection(seed: int = 7) -> Report:
     """|Chern-vector classes| equals the cokernel count |H^2(M; Z_d)|."""
-    t0 = time.perf_counter()
     rep = Report("bijection", True)
     rng = random.Random(seed)
     agree = 0
@@ -333,12 +316,11 @@ def verify_bijection(seed: int = 7) -> Report:
             agree += 1
     rep.lines.append(f"chern class count == cokernel count: "
                      f"{agree}/{BIJECTION_INSTANCES}")
-    return _finish(rep, t0)
+    return rep
 
 
 def verify_decomposition(seed: int = 7, size: int = 50) -> Report:
     """Exact splitting into the reduced invariant and the Gauss-sum factor."""
-    t0 = time.perf_counter()
     rep = Report("decomposition", True)
     manifolds = corpus(seed, size)
     for r in DECOMPOSITION_RS:
@@ -360,12 +342,11 @@ def verify_decomposition(seed: int = 7, size: int = 50) -> Report:
         rep.lines.append(
             f"sl2({r}): tau = tau_reduced * moo(m={data.m}, xi) exact on "
             f"{checked}/{len(manifolds)} manifolds")
-    return _finish(rep, t0)
+    return rep
 
 
 def verify_moo() -> Report:
     """Gauss-sum invariant sanity: normalization, moduli, refined partition."""
-    t0 = time.perf_counter()
     rep = Report("moo", True)
     xi = make_root(4, 1)
     v1 = moo(as_matrix([[1]]), 2, xi).exact
@@ -416,7 +397,7 @@ def verify_moo() -> Report:
         if not ok:
             _fail(rep, "refined moo partition identity fails",
                   {"matrix": mat_rows, "m": m, "alpha": alpha, "delta": delta})
-    return _finish(rep, t0)
+    return rep
 
 
 def verify_spinc(seed: int = 7) -> Report:
@@ -430,7 +411,6 @@ def verify_spinc(seed: int = 7) -> Report:
     the structure sets: coset partitions, representative independence of
     coset sums, and transport bijections.
     """
-    t0 = time.perf_counter()
     rep = Report("spinc", True)
     rng = random.Random(seed)
     hits = search_higher_spin(min_order=4, rs=SPINC_SEARCH_RS,
@@ -520,7 +500,7 @@ def verify_spinc(seed: int = 7) -> Report:
                 + ("invariant" if t_before == t_after else "NOT invariant"))
         except Exception as exc:  # exploration must never fail the suite
             rep.lines.append(f"exploration (not asserted) raised: {exc}")
-    return _finish(rep, t0)
+    return rep
 
 
 ALL_SUITES = {

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinmod import formats, verify
 from spinmod.cli import main
+from spinmod.category import CategoryData
 from spinmod.constructions import abelian_category, sl2_category
 from spinmod.corpus import e8_forest
 from spinmod.cyclo import make_root
@@ -61,6 +62,14 @@ def test_category_text_roundtrip(cat):
     assert back.smat == cat.smat
     assert back.fusion == cat.fusion
     assert formats.category_to_text(back) == text
+
+
+def test_category_text_roundtrip_keeps_plain_label_names():
+    cat = sl2_category(4)
+    named = CategoryData("named", cat.field, ("one", "half", "vector"),
+                         cat.dual, cat.qdim, cat.twist, cat.smat, cat.fusion)
+    back = formats.category_from_text(formats.category_to_text(named))
+    assert back.labels == named.labels == ("one", "half", "vector")
 
 
 def test_category_text_errors():

@@ -877,7 +877,7 @@ def test_leaf_cache_distinguishes_root_conventions():
     assert grad1.degree != grad2.degree
     col1 = kirby_color(cat, "graded", 1, grad1)
     col2 = kirby_color(cat, "graded", 1, grad2)
-    assert col1.weights != col2.weights
+    assert col1 != col2
     f = chain([2, 3])
     shared = Evaluator(cat)
     got1 = shared.eval_weighted(f, [col1, col1])
@@ -887,13 +887,12 @@ def test_leaf_cache_distinguishes_root_conventions():
 
 
 def test_evaluator_caches_follow_weight_content():
-    # a color with the plain kind but other weights must not be served
-    # the plain color's cached leaf messages or unknot values
-    from spinmod.category import KirbyColor
+    # a multiple of the plain color must not be served the plain color's
+    # cached leaf messages or unknot values
     cat = sl2_category(5)
     ev = Evaluator(cat)
     plain = kirby_color(cat, "plain")
-    double = KirbyColor("plain", 0, tuple(q * 2 for q in cat.qdim))
+    double = tuple(q * 2 for q in cat.qdim)
     for f, factor in ((forest([1]), 2), (e8_forest(), 2 ** 8)):
         base = ev.eval_weighted(f, [plain] * f.n)
         assert ev.eval_weighted(f, [double] * f.n) == base * factor
