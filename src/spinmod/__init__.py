@@ -1,6 +1,6 @@
 """Exact refined quantum invariants of plumbed 3-manifolds.
 
-Subpackages:
+Modules:
 
 - ``cyclo``: exact cyclotomic field arithmetic, the ground ring.
 - ``category``: premodular/modular category data, axiom checks, invertible

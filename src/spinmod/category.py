@@ -171,6 +171,9 @@ def check_axioms(cat: CategoryData) -> AxiomReport:
                 complain(f"unit fusion fails at ({a},{b})")
             if cat.fusion[a][b][0] != (1 if b == dual[a] else 0):
                 complain(f"duality channel fails at ({a},{b})")
+            # a braiding makes a (x) b and b (x) a isomorphic
+            if a < b and cat.fusion[a][b] != cat.fusion[b][a]:
+                complain(f"fusion not commutative at ({a},{b})")
     # Associativity of fusion multiplicities: (a b) c has sum_e N_ab^e N_ec^d
     # copies of d, a (b c) has sum_e N_bc^e N_ae^d.  For each (a, b) both
     # sides, for every (c, d) at once, are one integer with digit c*n + d in
@@ -292,7 +295,6 @@ def _rank_mod_p(cat: CategoryData) -> int:
     zeta -> g is a ring map Z[zeta][1/den] -> F_p since g is a root of
     Phi_N mod p, so a minor that is nonzero mod p is nonzero over Q(zeta).
     """
-    n = cat.size
     p, powers = _prime_and_root_powers(cat.field.order)
     rows = []
     for row in cat.smat:
@@ -303,46 +305,40 @@ def _rank_mod_p(cat: CategoryData) -> int:
             acc = sum(c * powers[j] for j, c in enumerate(v.num) if c)
             out.append(acc * pow(v.den, -1, p) % p)
         rows.append(out)
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        top = [v * inv % p for v in rows[rank]]
-        rows[rank] = top
-        for r in range(rank + 1, n):
-            f = rows[r][col]
-            if f:
-                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], top)]
-        rank += 1
-    return rank
+    return _echelon_rank(rows, lambda x: x == 0, lambda x: pow(x, -1, p),
+                         lambda x: x % p)
 
 
 def _rank(cat: CategoryData) -> int:
     """Exact rank of the Hopf-link matrix over the cyclotomic field."""
-    n = cat.size
-    rows = [list(row) for row in cat.smat]
+    return _echelon_rank(cat.smat, CycloNumber.is_zero, CycloNumber.invert,
+                         lambda x: x)
+
+
+def _echelon_rank(rows, is_zero, inverse, reduce) -> int:
+    """Rank of a square matrix over a field, by row echelon form.
+
+    Each column's pivot is the first remaining row that is nonzero there,
+    and every row below it loses the multiple of the pivot row that
+    clears the column; the pivot row is neither normalized nor used to
+    clear the rows above, as a rank needs neither.  ``reduce`` brings a
+    computed entry to its normal form (x mod p over F_p)."""
+    rows = [list(row) for row in rows]
+    n = len(rows)
     rank = 0
     for col in range(n):
-        pivot = None
-        for r in range(rank, n):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, n)
+                      if not is_zero(rows[r][col])), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].invert()
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(n):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        inv = inverse(top[col])
+        for r in range(rank + 1, n):
+            if not is_zero(rows[r][col]):
+                f = reduce(rows[r][col] * inv)
+                rows[r] = [reduce(v - f * w) for v, w in zip(rows[r], top)]
         rank += 1
-        if rank == n:
-            break
     return rank
 
 

@@ -101,6 +101,8 @@ def _pretty(obj: dict, indent: int = 0) -> None:
 
 
 def _run_category(args) -> int:
+    if args.out and args.action != "derive":
+        raise InputError("--out applies only to derive")
     from . import formats
     cat = formats.resolve_category(args.source)
     if args.action == "check":
@@ -115,7 +117,7 @@ def _run_category(args) -> int:
         _emit(out, args.format)
         return 0 if report.premodular else 1
     text = formats.category_to_text(cat)
-    if args.action == "derive" and args.out:
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"wrote {cat.name} ({cat.size} labels) to {args.out}")

@@ -247,9 +247,10 @@ def forest_from_text(text: str) -> PlumbingForest:
 
 
 def invariant_to_json(value: InvariantValue) -> dict:
+    approx = value.approx
     return {
         "exact": cyclo_to_json(value.exact),
-        "approx": [value.approx.real, value.approx.imag],
+        "approx": [approx.real, approx.imag],
         "normalization": {
             "b_plus": value.b_plus,
             "b_minus": value.b_minus,
@@ -274,6 +275,7 @@ def table_to_csv(table: RefinedInvariantTable) -> str:
     rows = ["structure,exact_N,exact_coeffs,approx_re,approx_im"]
     for key, val in sorted(table.entries.items()):
         coeffs = ";".join(rational_str(c) for c in val.exact.coeffs)
+        approx = val.approx
         rows.append(f"\"{' '.join(map(str, key))}\",{val.exact.field.order},"
-                    f"\"{coeffs}\",{val.approx.real!r},{val.approx.imag!r}")
+                    f"\"{coeffs}\",{approx.real!r},{approx.imag!r}")
     return "\n".join(rows) + "\n"

@@ -67,20 +67,18 @@ class MooError(InvariantError):
 
 @dataclass(frozen=True)
 class InvariantValue:
-    """An exact invariant with its complex shadow and normalization record."""
+    """An exact invariant with its normalization record; ``approx`` is its
+    complex shadow, computed from ``exact`` on each read."""
 
     exact: CycloNumber
-    approx: complex
     b_plus: int
     b_minus: int
     denom_plus: CycloNumber
     denom_minus: CycloNumber
 
-    @staticmethod
-    def of(exact: CycloNumber, sig: SignaturePair,
-           denom_plus: CycloNumber, denom_minus: CycloNumber) -> "InvariantValue":
-        return InvariantValue(exact, exact.embed_complex(), sig.b_plus,
-                              sig.b_minus, denom_plus, denom_minus)
+    @property
+    def approx(self) -> complex:
+        return self.exact.embed_complex()
 
 
 @dataclass
@@ -362,8 +360,8 @@ class Evaluator:
             if sig.b_minus:
                 factor = factor * self._denominator_inv(-1) ** sig.b_minus
             self._norms[key] = factor
-        return InvariantValue.of(raw * factor, sig, self.denominator(1),
-                                 self.denominator(-1))
+        return InvariantValue(raw * factor, sig.b_plus, sig.b_minus,
+                              self.denominator(1), self.denominator(-1))
 
     # -- refinement plumbing ---------------------------------------------------
 
@@ -777,7 +775,7 @@ def moo_refined(mat: structures.LinkingMatrix, params: MooParams,
         exact = exact * g.invert() ** sig.b_plus
     if sig.b_minus:
         exact = exact * gbar.invert() ** sig.b_minus
-    return InvariantValue.of(exact, sig, g, gbar)
+    return InvariantValue(exact, sig.b_plus, sig.b_minus, g, gbar)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ For a linking matrix L these are, over Z_d (or Z_2d for Chern vectors):
 - chern: {sigma : sigma_i = L_ii mod 2} / 2 Im L   in (Z_2d)^n,
 - hom:   (Z_d)^n / Im L                            (classes in H_1).
 
-Solution sets are computed by reduction to a diagonal form mod d (the
-Smith form's divisibility chain is not needed) and enumerated over
-independent cyclic generators.  The subgroups Im L and 2 Im L come from
+Solution sets are computed by reducing the square system L x = rhs to a
+diagonal form mod d, with the row operations applied to the right-hand
+side as they go (no row transform is kept, and the Smith form's
+divisibility chain is not needed), and enumerated over independent
+cyclic generators.  The subgroups Im L and 2 Im L come from
 one triangular (Hermite) basis of Im L + d Z^n, built by the same column
 elimination that gives the Howell pivots: a lexicographic walk of
 that basis lists each subgroup in sorted order, and 2 Im L in (Z_2d)^n is
@@ -59,84 +61,67 @@ def as_matrix(rows) -> LinkingMatrix:
 # Diagonal form mod d
 
 
-def smith_normal_form(mat, mod: int
-                      ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """U, D, V with U @ mat @ V = D (mod ``mod``), D diagonal, and U and V
-    invertible mod ``mod``.
+def smith_normal_form(mat, rhs, mod: int
+                      ) -> tuple[list[int], list[int], list[list[int]]]:
+    """(diagonal, c, V) for a square ``mat``: with V invertible mod
+    ``mod``, x = V y solves mat @ x = rhs (mod ``mod``) exactly when
+    diagonal[i] y_i = c_i (mod ``mod``) for every i.
 
-    D is a diagonal form, without the Smith form's chain d_i | d_(i+1):
-    the solvers and counts over Z_mod read only gcd(d_i, mod), which any
-    diagonal form gives, so a pivot is done once its row and column are
-    clear.  Every entry is kept reduced into [0, mod), which is all the
-    modular solvers use.  Over the integers U and V can grow to hundreds
-    of thousands of bits on 30-vertex trees; reduced, they cannot grow."""
+    Row operations reduce ``mat`` to a diagonal and are applied to
+    ``rhs`` as they go, so c = U rhs for the row transform U, which is
+    never built; column operations build V.  The diagonal lacks the
+    Smith form's chain d_i | d_(i+1): the solvers and counts over Z_mod
+    read only gcd(d_i, mod), which any diagonal form gives, so a pivot is
+    done once its row and column are clear.  Every entry is kept reduced
+    into [0, mod).  Over the integers V can grow to hundreds of thousands
+    of bits on 30-vertex trees; reduced, it cannot grow."""
     if mod < 1:
         raise StructureError("modulus must be positive")
-    a = [list(map(int, row)) for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def reduce(row):
-        return [x % mod for x in row]
-
-    a, u, v = ([reduce(row) for row in x] for x in (a, u, v))
+    a = [[x % mod for x in row] for row in mat]
+    c = [x % mod for x in rhs]
+    n = len(a)
+    v = [[int(i == j) % mod for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        c[i], c[j] = c[j], c[i]
 
     def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, c):
-        # row_i += c * row_j
-        a[i] = reduce([x + c * y for x, y in zip(a[i], a[j])])
-        u[i] = reduce([x + c * y for x, y in zip(u[i], u[j])])
-
-    def add_col(i, j, c):
         for row in a + v:
-            row[i] = (row[i] + c * row[j]) % mod
+            row[i], row[j] = row[j], row[i]
 
-    t = 0
-    while t < min(m, n):
-        # locate a minimal nonzero pivot in the trailing block
+    for t in range(n):
+        # the first minimal nonzero entry of the trailing block, by rows
         best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (best is None or a[i][j] < best[0]):
-                    best = (a[i][j], i, j)
+        for i in range(t, n):
+            low = min(filter(None, a[i][t:]), default=0)
+            if low and (best is None or low < best[0]):
+                best = (low, i, a[i].index(low, t))
         if best is None:
             break
         _, bi, bj = best
-        if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-        while True:
+        swap_rows(t, bi)
+        swap_cols(t, bj)
+        reduced = False
+        while not reduced:
             reduced = True
-            for i in range(t + 1, m):
+            for i in range(t + 1, n):
                 if a[i][t]:
                     q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
+                    a[i] = [(x - q * y) % mod for x, y in zip(a[i], a[t])]
+                    c[i] = (c[i] - q * c[t]) % mod
                     if a[i][t]:
                         swap_rows(t, i)
                         reduced = False
             for j in range(t + 1, n):
                 if a[t][j]:
                     q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
+                    for row in a + v:
+                        row[j] = (row[j] - q * row[t]) % mod
                     if a[t][j]:
                         swap_cols(t, j)
                         reduced = False
-            if reduced:
-                break
-        t += 1
-    return u, a, v
+    return [a[i][i] for i in range(n)], c, v
 
 
 def _mat_vec_mod(mat, vec, mod: int) -> tuple[int, ...]:
@@ -183,23 +168,16 @@ class GeneratedCoset:
 def solution_coset(mat, rhs, d: int) -> GeneratedCoset | None:
     """The solutions of mat @ x = rhs (mod d), or None when there are none.
 
-    With U mat V = D, x = V y and d_i y_i = c_i (mod d) for c = U rhs, so
-    y_i runs over y0_i + k (d/g_i), 0 <= k < g_i = gcd(d_i, d) (a free
+    With x = V y from `smith_normal_form`, d_i y_i = c_i (mod d), so y_i
+    runs over y0_i + k (d/g_i), 0 <= k < g_i = gcd(d_i, d) (a free
     coordinate has g_i = d).  V is invertible mod d, so x = V y is
     injective."""
     if d < 1:
         raise StructureError("modulus must be positive")
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    u, dd, v = smith_normal_form(mat, d)
-    c = _mat_vec_mod(u, rhs, d)
-    if any(c[i] % d for i in range(n, m)):
-        return None
+    diagonal, c, v = smith_normal_form(mat, rhs, d)
     y0 = []
     gens, orders = [], []
-    for i in range(n):
-        di = dd[i][i] % d if i < m else 0
-        ci = c[i] if i < m else 0
+    for i, (di, ci) in enumerate(zip(diagonal, c)):
         g = math.gcd(di, d)
         if ci % g:
             return None
@@ -489,12 +467,8 @@ def chern_vectors(mat: LinkingMatrix, d: int) -> CosetSet:
 def coker_count(mat: LinkingMatrix, d: int) -> int:
     """|coker(L mod d)| = prod gcd(d_i, d) over the diagonal form of
     `smith_normal_form`, independent of the coset enumerations."""
-    n = len(mat)
-    _, dd, _ = smith_normal_form(mat, d)
-    count = 1
-    for i in range(n):
-        count *= math.gcd(dd[i][i], d)
-    return count
+    diagonal, _, _ = smith_normal_form(mat, (0,) * len(mat), d)
+    return math.prod(math.gcd(di, d) for di in diagonal)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations, permutations
 from pathlib import Path
 
 import jsonschema
@@ -18,10 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from spinmod import formats, verify
 from spinmod.cli import main
-from spinmod.category import CategoryData
+from spinmod.category import CategoryData, check_axioms
 from spinmod.constructions import abelian_category, sl2_category
 from spinmod.corpus import e8_forest
-from spinmod.cyclo import make_root
+from spinmod.cyclo import cyclo_field, make_root
 from spinmod.invariants import Evaluator
 from spinmod.structures import coker_count
 from spinmod.surgery import chain, forest
@@ -353,6 +354,54 @@ def test_cli_evaluates_only_premodular_category_files(tmp_path):
         assert rc == 0
         assert json.loads(out)["invariant"] == formats.invariant_to_json(
             Evaluator(sl2_category(4)).wrt(chain([1, 2, 1])))
+
+
+def vec_s3():
+    """Six labels with the multiplication of S3 as fusion, over Q, and
+    every qdim, twist and Hopf value 1.  Every identity but commutativity
+    holds, and no braided category has this non-commutative fusion."""
+    elements = sorted(permutations(range(3)))      # the identity first
+    index = {g: i for i, g in enumerate(elements)}
+    one = cyclo_field(1).one
+    fusion = [[[int(c == index[tuple(g[x] for x in h)]) for c in range(6)]
+               for h in elements] for g in elements]
+    dual = [index[tuple(sorted(range(3), key=g.__getitem__))]
+            for g in elements]
+    return CategoryData("vec_s3", one.field,
+                        ["".join(map(str, g)) for g in elements], dual,
+                        [one] * 6, [one] * 6, [[one] * 6] * 6, fusion)
+
+
+def test_non_commutative_fusion_is_not_premodular(tmp_path):
+    # Vec_S3 passed the axioms with no violation, and `invariant`
+    # evaluated it with exit 0
+    cat = vec_s3()
+    expected = [f"fusion not commutative at ({a},{b})"
+                for a, b in combinations(range(6), 2)
+                if cat.fusion[a][b] != cat.fusion[b][a]]
+    assert len(expected) == 9
+    report = check_axioms(cat)
+    assert not report.premodular and report.violations == expected
+    cat_file = tmp_path / "vec_s3.cat"
+    cat_file.write_text(formats.category_to_text(cat))
+    rc, out = run_cli("category", "check", str(cat_file), "--format", "json")
+    assert rc == 1 and json.loads(out)["violations"] == expected
+    forest_file = tmp_path / "chain.forest"
+    forest_file.write_text(formats.forest_to_text(chain([1, 2])))
+    assert run_cli_err("invariant", "--category", str(cat_file),
+                       "--manifold", str(forest_file)) \
+        == (2, [f"error: category {cat_file} is not premodular: "
+                f"{expected[0]}"])
+
+
+@pytest.mark.parametrize("action", ["check", "show"])
+def test_cli_out_applies_only_to_derive(action, tmp_path):
+    # check and show exited 0 and wrote no file
+    out_file = tmp_path / "sl2_4.cat"
+    assert run_cli_err("category", action, "builtin:sl2:4",
+                       "--out", str(out_file)) \
+        == (2, ["error: --out applies only to derive"])
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("suite", ["all", "bijection", "moo", "axioms"])

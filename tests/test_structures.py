@@ -4,7 +4,7 @@ brute-force cross-validation, and matrix-level transport."""
 import math
 import random
 import time
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,11 +73,6 @@ def test_chern_parity_and_lex_minimality():
         assert rep == min(coset)
 
 
-def matmul(x, y):
-    return [[sum(x[i][k] * y[k][j] for k in range(len(y)))
-             for j in range(len(y[0]))] for i in range(len(x))]
-
-
 def det(x):
     total = 0
     for perm in permutations(range(len(x))):
@@ -87,26 +82,34 @@ def det(x):
     return total
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 9))
-def test_smith_normal_form_mod_properties(seed):
-    rng = random.Random(seed)
-    n = rng.randint(1, 4)
-    m = rng.randint(1, 4)
-    mod = rng.randint(1, 12)
-    a = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
-    u, d, v = smith_normal_form(a, mod)
-    uav = matmul(matmul(u, a), v)
-    assert [[x % mod for x in row] for row in uav] == d
-    assert all(0 <= x < mod for row in u + d + v for x in row)
-    assert all(d[i][j] == 0 for i in range(n) for j in range(m) if i != j)
-    assert math.gcd(det(u), mod) == 1 and math.gcd(det(v), mod) == 1
+def test_smith_normal_form_solves_square_systems_exhaustively():
+    # every n <= 3 and mod <= 12, zero and random right-hand sides, and
+    # every y in (Z_mod)^n: x = V y solves a x = rhs exactly when each
+    # diagonal_i y_i = c_i
+    rng = random.Random(92)
+    for mod in range(1, 13):
+        for n in range(4):
+            for _ in range(3):
+                a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+                for rhs in ([0] * n, [rng.randint(-6, 6) for _ in range(n)]):
+                    diagonal, c, v = smith_normal_form(a, rhs, mod)
+                    assert all(0 <= x < mod
+                               for x in [*diagonal, *c, *chain(*v)])
+                    assert math.gcd(det(v), mod) == 1
+                    for y in product(range(mod), repeat=n):
+                        x = [sum(r * k for r, k in zip(row, y)) for row in v]
+                        solves = all(
+                            (sum(r * k for r, k in zip(row, x)) - b) % mod == 0
+                            for row, b in zip(a, rhs))
+                        assert solves == all(
+                            (di * k - ci) % mod == 0
+                            for di, k, ci in zip(diagonal, y, c))
 
 
 def test_smith_normal_form_rejects_nonpositive_modulus():
     for mod in (0, -3):
         with pytest.raises(StructureError):
-            smith_normal_form([[2, 1], [1, 2]], mod)
+            smith_normal_form([[2, 1], [1, 2]], (0, 0), mod)
 
 
 def test_solve_mod_agrees_with_enumeration():
