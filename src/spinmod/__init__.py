@@ -7,9 +7,10 @@ Modules:
   objects, gradings, Kirby colors.
 - ``constructions``: built-in category families and derived categories
   (reduction, extension, modularization).
-- ``surgery``: plumbing forests, linking matrices, exact signatures, moves.
+- ``surgery``: plumbing forests, linking matrices, exact signatures, moves
+  and the transport of structures through them.
 - ``structures``: spin / cohomology / Chern-vector / homology structure
-  sets on surgered manifolds, with move transport.
+  sets on surgered manifolds.
 - ``invariants``: exact evaluation of colored and refined invariants.
 - ``corpus``: named classics and seeded random manifold corpora.
 - ``formats``: text file formats and JSON/CSV serialization.

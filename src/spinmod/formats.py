@@ -177,20 +177,23 @@ def category_from_text(text: str) -> CategoryData:
 def resolve_category(source: str) -> CategoryData:
     """A category from a ``builtin:...`` spec string or a category file."""
     if source.startswith("builtin:"):
-        parts = source.split(":")[1:]
-        kind = parts[0] if parts else ""
+        kind, *args = source.split(":")[1:]
+        arity = {"sl2": 1, "abelian": 3, "trivial": 0}.get(kind)
+        if arity is None:
+            raise FormatError(f"unknown builtin {kind!r}; use sl2:<r>, "
+                              "abelian:<n>:<N>:<k>, trivial")
         try:
+            if len(args) != arity:
+                raise ValueError(f"wrong number of fields (expected "
+                                 f"{arity}, got {len(args)})")
             if kind == "sl2":
-                return sl2_category(int(parts[1]))
+                return sl2_category(int(args[0]))
             if kind == "abelian":
-                return abelian_category(int(parts[1]),
-                                        make_root(int(parts[2]), int(parts[3])))
-            if kind == "trivial":
-                return trivial_category()
-        except (IndexError, ValueError, ConstructionError) as exc:
+                return abelian_category(int(args[0]),
+                                        make_root(int(args[1]), int(args[2])))
+            return trivial_category()
+        except (ValueError, ConstructionError) as exc:
             raise FormatError(f"bad builtin spec {source!r}: {exc}") from exc
-        raise FormatError(f"unknown builtin {kind!r}; use sl2:<r>, "
-                          "abelian:<n>:<N>:<k>, trivial")
     try:
         with open(source, encoding="utf-8") as fh:
             return category_from_text(fh.read())

@@ -409,8 +409,7 @@ class Evaluator:
         convention travels with ``grad.e_d``."""
         return kirby_color(self.cat, "graded", u % grad.modulus, grad)
 
-    def dual_color(self, grad: Grading, v: int,
-                   e_k: int) -> tuple[CycloNumber, ...]:
+    def dual_color(self, grad: Grading, v: int) -> tuple[CycloNumber, ...]:
         """Dual color with character parameter v under ``grad.e_d``."""
         return kirby_color(self.cat, "dual", v % grad.modulus, grad)
 

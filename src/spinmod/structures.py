@@ -525,97 +525,3 @@ def brute_homology_classes(mat: LinkingMatrix, d: int) -> tuple[tuple[int, ...],
         for s in sub:
             seen.add(tuple((a + b) % d for a, b in zip(x, s)))
     return tuple(classes)
-
-
-# ---------------------------------------------------------------------------
-# Move transport at the matrix level
-
-_SOLUTION_KINDS = {"spin", "coh"}
-
-
-def _validate_element(kind: str, mat: LinkingMatrix, elem, d: int,
-                      modulus: int) -> tuple[int, ...]:
-    n = len(mat)
-    if len(elem) != n:
-        raise StructureError(f"element has length {len(elem)}, expected {n}")
-    e = tuple(x % modulus for x in elem)
-    if kind == "spin":
-        if d % 2:
-            raise StructureError("spin transport needs even d")
-        if _mat_vec_mod(mat, e, d) != characteristic_rhs(mat, d):
-            raise StructureError("vector is not a characteristic solution")
-    elif kind == "coh":
-        if _mat_vec_mod(mat, e, d) != (0,) * n:
-            raise StructureError("vector is not in the kernel")
-    elif kind == "chern":
-        for i in range(n):
-            if (e[i] - mat[i][i]) % 2:
-                raise StructureError("Chern vector parity mismatch")
-    elif kind != "hom":
-        raise StructureError(f"unknown structure kind {kind!r}")
-    return e
-
-
-def move_matrix(mat: LinkingMatrix, move) -> LinkingMatrix:
-    """Image of the linking matrix under a matrix-level move."""
-    n = len(mat)
-    kind = move[0]
-    if kind == "stabilize":
-        sign = move[1]
-        rows = [list(row) + [0] for row in mat]
-        rows.append([0] * n + [sign])
-        return tuple(tuple(r) for r in rows)
-    if kind == "reverse":
-        i = move[1]
-        return tuple(tuple(-v if (r == i) != (c == i) else v
-                           for c, v in enumerate(row))
-                     for r, row in enumerate(mat))
-    if kind == "slide":
-        # slide component i along j: basis change e_i -> e_i + orient e_j
-        _, i, j, orient = move
-        rows = [list(row) for row in mat]
-        new = [row[:] for row in rows]
-        for k in range(n):
-            new[i][k] = rows[i][k] + orient * rows[j][k]
-        for k in range(n):
-            new[k][i] = new[k][i] + orient * new[k][j]
-        return tuple(tuple(r) for r in new)
-    raise StructureError(f"unknown move {move!r}")
-
-
-def transport(kind: str, mat: LinkingMatrix, move, elem, d: int
-              ) -> tuple[LinkingMatrix, tuple[int, ...]]:
-    """Carry a structure vector through a matrix-level move.
-
-    Solution kinds (spin, coh) transform contragradiently under slides
-    (the slid-over coordinate absorbs -orient * elem_i); coset kinds
-    (chern, hom) transform covariantly (coordinate i gains
-    +orient * elem_j).  Reversal negates one coordinate for every kind.
-    """
-    modulus = 2 * d if kind == "chern" else d
-    e = _validate_element(kind, mat, elem, d, modulus)
-    new_mat = move_matrix(mat, move)
-    mkind = move[0]
-    if mkind == "stabilize":
-        sign = move[1]
-        if kind == "spin":
-            extra = d // 2
-        elif kind == "chern":
-            extra = sign % modulus
-        else:
-            extra = 0
-        return new_mat, e + (extra,)
-    if mkind == "reverse":
-        i = move[1]
-        out = list(e)
-        out[i] = (-out[i]) % modulus
-        return new_mat, tuple(out)
-    if mkind == "slide":
-        _, i, j, orient = move
-        out = list(e)
-        if kind in _SOLUTION_KINDS:
-            out[j] = (out[j] - orient * out[i]) % modulus
-        else:
-            out[i] = (out[i] + orient * out[j]) % modulus
-        return new_mat, tuple(out)
-    raise StructureError(f"unknown move {move!r}")

@@ -24,8 +24,8 @@ from fractions import Fraction
 from .budget import charge
 
 # structures appears only in annotations, which are never evaluated, and
-# in `structure_transport`, which imports it, so building or showing a
-# forest does not load the structure solvers
+# in `structure_transport`, which imports its error class, so building or
+# showing a forest does not load the structure solvers
 
 
 class ForestError(ValueError):
@@ -337,49 +337,57 @@ def apply_move(f: PlumbingForest, move: Move) -> PlumbingForest:
 
 def structure_transport(kind: str, f: PlumbingForest, move: Move,
                         element: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """Carry a structure vector through a forest move.
+    """Carry a structure vector of `f` to the matching one of
+    ``apply_move(f, move)``: a bijection of structure sets (of classes,
+    for chern and hom), read from the framings and edges in O(n + |E|).
 
-    Stabilization appends the forced coordinate, reversal negates one
-    coordinate, and blow-up/blow-down transport is composed from the
-    matrix-level primitives (stabilize + slide).  The result is valid for
-    ``apply_move(f, move)``.
+    `apply_move` refuses an illegal move (ForestError).  A modulus below
+    1, an odd spin modulus, an unknown kind or an element that is not a
+    structure of `f` raises StructureError.  Coordinates are mod d (mod 2d
+    for chern).  Stabilization appends d/2 (spin), the sign (chern) or 0;
+    reversal negates one coordinate; blow-up at u appends d/2 - e_u
+    (spin), -e_u (coh) or 0 (hom), and for chern adds the sign to e_u and
+    appends it; blow-down at w drops e_w, after the neighbour loses
+    t * e_w for hom and chern, with t = (sign of w's edge) * framing(w).
     """
-    from . import structures
-    mat = f.linking_matrix()
+    from .structures import StructureError
+    apply_move(f, move)
+    if d < 1:
+        raise StructureError(f"modulus must be positive, got {d}")
+    if len(element) != f.n:
+        raise StructureError(
+            f"element has length {len(element)}, expected {f.n}")
+    mod = 2 * d if kind == "chern" else d
+    e = [x % mod for x in element]
+    half = d // 2 if kind == "spin" else 0
+    if kind in ("spin", "coh"):
+        if d % 2 and kind == "spin":
+            raise StructureError("spin transport needs even d")
+        lx = [m * x for m, x in zip(f.framings, e)]
+        for (u, v, s) in f.edges:
+            lx[u] += s * e[v]
+            lx[v] += s * e[u]
+        if any((y - half * m) % d for y, m in zip(lx, f.framings)):
+            raise StructureError(f"vector is not a {kind} solution")
+    elif kind == "chern":
+        if any((x - m) % 2 for x, m in zip(e, f.framings)):
+            raise StructureError("Chern vector parity mismatch")
+    elif kind != "hom":
+        raise StructureError(f"unknown structure kind {kind!r}")
+    v, eps = move.vertex, move.sign
     if move.kind == "stabilize":
-        _, elem = structures.transport(kind, mat, ("stabilize", move.sign),
-                                       element, d)
-        return elem
-    if move.kind == "reverse":
-        _, elem = structures.transport(kind, mat, ("reverse", move.vertex),
-                                       element, d)
-        return elem
-    if move.kind == "blow_up":
-        u, eps, w = move.vertex, move.sign, f.n
-        mat1, elem = structures.transport(kind, mat, ("stabilize", eps),
-                                          element, d)
-        _, elem = structures.transport(kind, mat1, ("slide", u, w, 1), elem, d)
-        return elem
-    if move.kind == "blow_down":
-        w = move.vertex
-        eps = f.framings[w]
-        incident = [(u, v, s) for (u, v, s) in f.edges if w in (u, v)]
-        elem = tuple(element)
-        cur = mat
-        if incident:
-            (a, b, s) = incident[0]
-            nb = a if b == w else b
-            if s != eps:
-                cur, elem = structures.transport(kind, cur, ("reverse", w),
-                                                 elem, d)
-            cur, elem = structures.transport(kind, cur, ("slide", nb, w, -1),
-                                             elem, d)
-        forced = {"spin": d // 2, "coh": 0, "hom": None, "chern": None}[kind]
-        if forced is not None and (elem[w] - forced) % d:
-            raise structures.StructureError(
-                f"blow-down leaves coordinate {elem[w]}, expected {forced}")
-        if kind == "chern" and elem[w] % 2 != 1:
-            raise structures.StructureError(
-                "blow-down of a +-1 framed vertex needs an odd Chern coordinate")
-        return elem[:w] + elem[w + 1:]
-    raise ForestError(f"unknown move kind {move.kind!r}")
+        e.append(eps if kind == "chern" else half)
+    elif move.kind == "reverse":
+        e[v] = -e[v]
+    elif kind == "chern" and move.kind == "blow_up":
+        e[v] += eps
+        e.append(eps)
+    elif move.kind == "blow_up":
+        e.append(0 if kind == "hom" else half - e[v])
+    else:
+        if kind in ("hom", "chern"):
+            for (a, b, s) in f.edges:
+                if v in (a, b):
+                    e[a + b - v] -= s * f.framings[v] * e[v]
+        del e[v]
+    return tuple(x % mod for x in e)

@@ -154,7 +154,7 @@ def verify_lemmas() -> Report:
         if tuple(total) != ev.plain_color():
             _fail(rep, f"sl2({r}): sum of graded Kirby colors != plain",
                   {"r": r})
-        if ev.dual_color(grad, 0, 1) != ev.plain_color():
+        if ev.dual_color(grad, 0) != ev.plain_color():
             _fail(rep, f"sl2({r}): dual color at v=0 != plain", {"r": r})
     return rep
 
@@ -408,8 +408,8 @@ def verify_spinc(seed: int = 7) -> Report:
     spin structure of order >= 4 if the bounded extension search produces
     one.  If the search comes up empty -- which the report states
     explicitly rather than skipping silently -- the suite still exercises
-    the structure sets: coset partitions, representative independence of
-    coset sums, and transport bijections.
+    the structure sets: coset partitions and representative independence
+    of coset sums.
     """
     rep = Report("spinc", True)
     rng = random.Random(seed)

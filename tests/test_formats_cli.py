@@ -404,6 +404,17 @@ def test_cli_out_applies_only_to_derive(action, tmp_path):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("spec", ["builtin:sl2:5:junk", "builtin:trivial:7",
+                                  "builtin:abelian:3:3:1:9", "builtin:sl2",
+                                  "builtin:abelian:3:3"])
+def test_cli_builtin_spec_takes_exactly_its_fields(spec):
+    # extra fields were ignored and category check exited 0
+    rc, err = run_cli_err("category", "check", spec)
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith(
+        f"error: bad builtin spec {spec!r}")
+
+
 @pytest.mark.parametrize("suite", ["all", "bijection", "moo", "axioms"])
 def test_cli_verify_category_applies_only_to_sum_and_kirby(suite, tmp_path):
     # the other suites ignored --category and exited 0

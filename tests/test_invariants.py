@@ -411,7 +411,7 @@ def test_wrt_homology(ev6):
     total = ev6.cat.field.zero
     from itertools import product
     for eps in product(range(d), repeat=f.n):
-        weights = [ev6.dual_color(grad, v, 1) for v in eps]
+        weights = [ev6.dual_color(grad, v) for v in eps]
         total = total + ev6.eval_weighted(f, weights)
     table = ev6.wrt_homology(f, d)
     sig = signature(f.linking_matrix())
@@ -429,8 +429,8 @@ def test_dual_color_orientation_reversal_identity(ev6):
     g = apply_move(f, reverse(0))
     for v0 in range(2):
         for v1 in range(2):
-            w_f = [ev6.dual_color(grad, v0, 1), ev6.dual_color(grad, v1, 1)]
-            w_g = [ev6.dual_color(grad, -v0 % 2, 1), ev6.dual_color(grad, v1, 1)]
+            w_f = [ev6.dual_color(grad, v0), ev6.dual_color(grad, v1)]
+            w_g = [ev6.dual_color(grad, -v0 % 2), ev6.dual_color(grad, v1)]
             assert ev6.eval_weighted(f, w_f) == ev6.eval_weighted(g, w_g)
 
 
@@ -464,7 +464,7 @@ def coset_table_oracle(ev, kind, f, d, e_k=1):
     cosets = (structures.chern_vectors if spinc
               else structures.homology_classes)(mat, d)
     scale = Fraction((-1) ** f.n if spinc else 1, d ** f.n)
-    colors = [ev.dual_color(grad, v, e_k) for v in range(mod)]
+    colors = [ev.dual_color(grad, v) for v in range(mod)]
     entries = {}
     for rep in cosets.classes:
         acc = ev.cat.field.zero
@@ -908,7 +908,7 @@ def test_graded_and_dual_colors_follow_the_grading_root():
         for p in range(grad.modulus):
             assert ev.graded_color(grad, p, 1) \
                 == kirby_color(cat, "graded", p, grad)
-            assert ev.dual_color(grad, p, 1) \
+            assert ev.dual_color(grad, p) \
                 == kirby_color(cat, "dual", p, grad)
 
 

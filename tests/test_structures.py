@@ -1,5 +1,5 @@
 """Structure-set solvers: Smith normal form, coset enumeration, counts,
-brute-force cross-validation, and matrix-level transport."""
+and brute-force cross-validation."""
 
 import math
 import random
@@ -19,9 +19,9 @@ from spinmod.structures import (GeneratedCoset, StructureError, as_matrix,
                                 chern_representatives, coker_count,
                                 homology_classes, homology_representatives,
                                 howell_pivots, image_subgroup,
-                                image_subgroup_factored, move_matrix,
+                                image_subgroup_factored,
                                 smith_normal_form, solution_coset,
-                                solve_mod, spin_solutions, transport)
+                                solve_mod, spin_solutions)
 
 
 def rand_symmetric(rng, n, span=5):
@@ -168,36 +168,6 @@ def test_even_diagonal_spin_set_is_kernel_translate():
             shifted = {tuple((a + b) % d for a, b in zip(x, doubled))
                        for x in sols}
             assert shifted == sols
-
-
-def test_matrix_level_slide_transport():
-    mat = as_matrix([[0, 1], [1, 2]])
-    # cohomology: sliding 0 along 1 sends h to h with h_1 -= h_0
-    sols = cohomology_classes(mat, 3).solutions
-    new_mat = move_matrix(mat, ("slide", 0, 1, 1))
-    assert new_mat == ((4, 3), (3, 2))
-    out = sorted(transport("coh", mat, ("slide", 0, 1, 1), h, 3)[1]
-                 for h in sols)
-    assert out == sorted(cohomology_classes(new_mat, 3).solutions)
-    # homology: covariant action
-    classes = homology_classes(mat, 4).classes
-    moved = [transport("hom", mat, ("slide", 0, 1, -1), h, 4)[1]
-             for h in classes]
-    target_mat = move_matrix(mat, ("slide", 0, 1, -1))
-    sub = image_subgroup(target_mat, 4)
-    canon = sorted(min(tuple((a + b) % 4 for a, b in zip(v, s)) for s in sub)
-                   for v in moved)
-    assert canon == sorted(homology_classes(target_mat, 4).classes)
-
-
-def test_transport_validates_elements():
-    mat = as_matrix([[1]])
-    with pytest.raises(StructureError):
-        transport("spin", mat, ("stabilize", 1), (0,), 2)
-    with pytest.raises(StructureError):
-        transport("chern", mat, ("reverse", 0), (0,), 2)
-    with pytest.raises(StructureError):
-        transport("nope", mat, ("reverse", 0), (1,), 2)
 
 
 def test_enumeration_limits():

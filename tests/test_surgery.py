@@ -332,3 +332,51 @@ def test_transport_roundtrip_on_structures():
             there = structure_transport("spin", f, mv, s, d)
             back = structure_transport("spin", g, down, there, d)
             assert back == s
+
+
+@pytest.mark.parametrize("kind", ["spin", "coh", "chern", "hom"])
+@pytest.mark.parametrize("f, move", [
+    (chain([2, 3]), blow_down(0)),
+    (chain([2, 1, 2]), blow_down(1)),
+    (chain([2, 3]), stabilize(2)),
+    (chain([2, 3]), reverse(2)),
+], ids=["framing-2", "degree-2", "stabilize-2", "out-of-range"])
+def test_transport_refuses_an_illegal_move(kind, f, move):
+    element = _structure_set(kind, f.linking_matrix(), 2)[0]
+    with pytest.raises(ForestError):
+        structure_transport(kind, f, move, element, 2)
+
+
+@pytest.mark.parametrize("kind", ["spin", "coh", "chern", "hom"])
+@pytest.mark.parametrize("d", [0, -3])
+def test_transport_refuses_a_modulus_below_one(kind, d):
+    with pytest.raises(structures.StructureError):
+        structure_transport(kind, forest([2]), stabilize(1), (0,), d)
+
+
+@pytest.mark.parametrize("kind, f, move, element", [
+    ("spin", forest([1]), stabilize(1), (0,)),
+    ("spin", forest([1, 1]), blow_down(1), (0, 1)),
+    ("chern", forest([1]), reverse(0), (0,)),
+    ("nope", forest([1]), reverse(0), (1,)),
+    ("hom", forest([1]), reverse(0), (1, 0)),
+], ids=["spin-non-solution", "spin-isolated-blow-down", "chern-parity",
+        "unknown-kind", "length"])
+def test_transport_validates_elements(kind, f, move, element):
+    with pytest.raises(structures.StructureError):
+        structure_transport(kind, f, move, element, 2)
+
+
+def test_isolated_blow_down_reduces_the_element():
+    assert structure_transport("hom", forest([0, 1]), blow_down(1),
+                               (7, 1), 3) == (1,)
+
+
+def test_spin_blow_up_on_a_long_chain_reads_no_linking_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("transport built the dense linking matrix")
+
+    f = chain([2] * 5000)
+    monkeypatch.setattr(surgery.PlumbingForest, "linking_matrix", refuse)
+    out = structure_transport("spin", f, blow_up(4999, 1), (0,) * 5000, 2)
+    assert out == (0,) * 5000 + (1,)
