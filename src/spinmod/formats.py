@@ -133,7 +133,7 @@ def category_from_text(text: str) -> CategoryData:
         except (IndexError, ValueError) as exc:
             if isinstance(exc, FormatError):
                 raise
-            raise FormatError(f"bad line {ln!r}") from exc
+            raise FormatError(f"bad line {ln!r}: {exc}") from exc
     if None in (name, field, size, dual):
         raise FormatError("missing name/field/labels/dual")
     if size < 1:
@@ -235,7 +235,7 @@ def forest_from_text(text: str) -> PlumbingForest:
         except (IndexError, ValueError) as exc:
             if isinstance(exc, FormatError):
                 raise
-            raise FormatError(f"bad line {ln!r}") from exc
+            raise FormatError(f"bad line {ln!r}: {exc}") from exc
     ids = sorted(framings)
     remap = {vid: k for k, vid in enumerate(ids)}
     try:

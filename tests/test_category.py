@@ -215,6 +215,53 @@ def test_malformed_data_rejected_before_checking():
                   cat.twist, cat.smat, cat.fusion)
 
 
+def _corrupted_sl2_4(**fields):
+    cat = sl2_category(4)
+    data = {"dual": cat.dual, "qdim": cat.qdim, "twist": cat.twist,
+            "smat": cat.smat, "fusion": cat.fusion, **fields}
+    return type(cat)(cat.name, cat.field, cat.labels, data["dual"],
+                     data["qdim"], data["twist"], data["smat"], data["fusion"])
+
+
+def _asymmetric_smat():
+    smat = [list(row) for row in sl2_category(4).smat]
+    smat[1][2] = smat[1][2] + 1
+    return smat
+
+
+# sl2(4): qdim (1, sqrt 2, 1), twists (1, -zeta_16^3, -1), dual the identity
+@pytest.mark.parametrize("fields,complaint", [
+    ({"dual": (1, 0, 2)}, "dual(unit) != unit"),
+    ({"dual": (1, 2, 0)}, "dual is not an involution at 0"),
+    ({"dual": (0, 2, 1)}, "qdim(1) != qdim(dual 1)"),
+    ({"dual": (0, 2, 1)}, "twist(1) != twist(dual 1)"),
+    ({"twist": (cyclo_field(16).from_integer(-1),) * 3}, "twist(unit) != 1"),
+    ({"smat": _asymmetric_smat()}, "smat not symmetric at (1,2)"),
+], ids=["dual_unit", "involution", "qdim_dual", "twist_dual", "twist_unit",
+        "smat_symmetry"])
+def test_axiom_checker_complaints(fields, complaint):
+    rep = check_axioms(_corrupted_sl2_4(**fields))
+    assert complaint in rep.violations
+    assert not rep.premodular
+
+
+def test_shape_refusals():
+    cat = sl2_category(4)
+    fusion = [[list(row) for row in plane] for plane in cat.fusion]
+    with pytest.raises(MalformedCategoryError, match="empty label set"):
+        type(cat)("empty", cat.field, (), (), (), (), (), ())
+    with pytest.raises(MalformedCategoryError, match="qdim entry in wrong"):
+        _corrupted_sl2_4(qdim=(cyclo_field(5).one,) + cat.qdim[1:])
+    with pytest.raises(MalformedCategoryError, match="smat is not square"):
+        _corrupted_sl2_4(smat=[row[:2] for row in cat.smat])
+    with pytest.raises(MalformedCategoryError, match="fusion tensor"):
+        _corrupted_sl2_4(fusion=fusion[:2])
+    for bad in (-1, 1.5):
+        fusion[1][1][0] = bad
+        with pytest.raises(MalformedCategoryError, match="nonnegative int"):
+            _corrupted_sl2_4(fusion=fusion)
+
+
 def test_axiom_checker_flags_broken_twist():
     cat = sl2_category(5)
     bad_twist = list(cat.twist)

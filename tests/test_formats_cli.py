@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinmod import formats, verify
+from spinmod import formats, structures, verify
 from spinmod.cli import main
 from spinmod.category import CategoryData, check_axioms
 from spinmod.constructions import abelian_category, sl2_category
@@ -274,6 +275,45 @@ def test_cli_malformed_category_or_matrix_exits_2(case, tmp_path):
     assert "Traceback" not in proc.stderr
     errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
     assert len(errors) == 1
+
+
+PARSE_ERRORS = {
+    "category_field": ("category", "field 16\n", "field 100000\n",
+                       "exceeds size limit"),
+    "forest_edge": ("forest", "edge 0 1 +1\n", "edge 0 x +1\n",
+                    "invalid literal for int()"),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSE_ERRORS))
+def test_cli_parse_error_names_its_cause(case, tmp_path):
+    kind, old, new, cause = PARSE_ERRORS[case]
+    good = (SL2_4_TEXT if kind == "category"
+            else formats.forest_to_text(chain([1, 2])))
+    assert old in good
+    path = tmp_path / case
+    path.write_text(good.replace(old, new, 1))
+    argv = (["category", "check", str(path)] if kind == "category"
+            else ["manifold", "show", str(path)])
+    rc, err = run_cli_err(*argv)
+    assert rc == 2 and len(err) == 1 and err[0].startswith("error: ")
+    assert f"bad line {new.strip()!r}: " in err[0] and cause in err[0]
+
+
+def test_cli_reads_matrix_files(tmp_path):
+    # docs/formats.md: a JSON file, or one row of integers per line
+    argv = ["structures", "hom", "--d", "3", "--matrix"]
+    rc, inline = run_cli(*argv, "[[2,1],[1,2]]")
+    assert rc == 0
+    path = tmp_path / "m.txt"
+    for text in ("[[2, 1],\n [1, 2]]\n", "2 1\n1 2\n", "\n 2  1 \n\n1 2"):
+        path.write_text(text)
+        assert run_cli(*argv, str(path)) == (0, inline)
+    for text in ("2 x\n1 2\n", "2 1\n1\n"):
+        path.write_text(text)
+        rc, err = run_cli_err(*argv, str(path))
+        assert rc == 2 and len(err) == 1
+        assert err[0].startswith(f"error: bad matrix {str(path)!r}")
 
 
 def former_traceback_argv(case, tmp_path):
@@ -752,6 +792,30 @@ def test_cli_verify_unknown_suite_names_every_suite():
     assert rc == 2 and err == ["error: --corpus-size and --sequences must "
                                "be positive"]
     assert "verify" not in mods
+
+
+WRONG_TWINS = {
+    # the last Chern class goes missing from the brute-force partition
+    "spinc": (structures, "brute_chern_vectors",
+              lambda twin: lambda mat, d: twin(mat, d)[:-1],
+              r"  witness: \{'matrix': \[\[.*\]\], 'd': [24]\}"),
+    # every coloring sum comes out one too large
+    "oracle": (Evaluator, "brute_weighted",
+               lambda twin: lambda ev, f, weights: twin(ev, f, weights) + 1,
+               r"  witness: \{'category': '\w+', 'forest': \(.*\)\}"),
+}
+
+
+@pytest.mark.parametrize("suite", list(WRONG_TWINS))
+def test_cli_verify_exits_1_with_a_witness_when_a_twin_disagrees(
+        suite, monkeypatch):
+    owner, name, wrong, witness = WRONG_TWINS[suite]
+    monkeypatch.setattr(owner, name, wrong(getattr(owner, name)))
+    rc, out = run_cli("verify", suite)
+    lines = out.splitlines()
+    assert rc == 1
+    assert lines[0] == f"[FAIL] {suite}"
+    assert re.fullmatch(witness, lines[-1])
 
 
 def test_cli_verify_reports_are_seed_deterministic():

@@ -461,14 +461,15 @@ def coset_table_oracle(ev, kind, f, d, e_k=1):
     grad = ev.structure_grading(mod, spin=spinc, e_k=e_k)
     mat = f.linking_matrix()
     sig = signature(mat)
-    cosets = (structures.chern_vectors if spinc
-              else structures.homology_classes)(mat, d)
+    classes = (structures.chern_representatives if spinc
+               else structures.homology_representatives)(mat, d)
+    subgroup = structures.image_subgroup(mat, mod, 2 if spinc else 1)
     scale = Fraction((-1) ** f.n if spinc else 1, d ** f.n)
     colors = [ev.dual_color(grad, v) for v in range(mod)]
     entries = {}
-    for rep in cosets.classes:
+    for rep in classes:
         acc = ev.cat.field.zero
-        for shift in cosets.subgroup:
+        for shift in subgroup:
             weights = [colors[(a + b) % mod] for a, b in zip(rep, shift)]
             acc = acc + ev.eval_weighted(f, weights)
         entries[rep] = ev.normalize(acc.scale(scale), sig).exact

@@ -267,8 +267,8 @@ def _structure_set(kind, mat, d):
     if kind == "coh":
         return structures.cohomology_classes(mat, d).solutions
     if kind == "chern":
-        return structures.chern_vectors(mat, d).classes
-    return structures.homology_classes(mat, d).classes
+        return structures.chern_representatives(mat, d)
+    return structures.homology_representatives(mat, d)
 
 
 def _canonical_class(kind, mat, d, vec):
