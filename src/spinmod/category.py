@@ -4,9 +4,9 @@ A category is presented by purely numerical data on a finite label set:
 duality involution, quantum dimensions, twists, the unnormalized matrix of
 Hopf-link values, and fusion multiplicities.  That is exactly the data
 that determines colored invariants of plumbing forests, and it is enough
-to *decide* the premodular axioms, modularity (a mod-p rank certificate
-with exact fallback), transparency, invertibility, gradings and
-refinability -- all in exact arithmetic.
+to *decide* the premodular axioms, modularity (a mod-p rank certificate,
+or two transparent labels, with exact fallback), transparency,
+invertibility, gradings and refinability -- all in exact arithmetic.
 
 Fusion multiplicities are part of the input data rather than derived:
 they make invertibility detection, degree additivity and cocycle lifts
@@ -226,7 +226,10 @@ def check_axioms(cat: CategoryData) -> AxiomReport:
     transparent = tuple(a for a in range(n)
                         if all(smat[a][b] == qdim[a] * qdim[b] for b in range(n)))
 
-    modular = _rank_mod_p(cat) == n or _rank(cat) == n
+    # two transparent labels have proportional Hopf rows, so the exact
+    # rank is needed only when the mod-p rank is short and at most one is
+    modular = _rank_mod_p(cat) == n or (len(transparent) < 2
+                                         and _rank(cat) == n)
     global_dim = cat.field.dot((q, q) for q in qdim)
     agreement: bool | None = None
     if not global_dim.is_zero():

@@ -347,9 +347,7 @@ def modularize(cat: CategoryData) -> CategoryData:
                 f"transparent subgroup does not act freely at label {lam}")
         orbits.append(tuple(orbit))
         seen.update(orbit)
-    orbits.sort()
-    if orbits[0][0] != 0:
-        orbits.sort(key=lambda o: (0 not in o, o))
+    orbits.sort()          # an orbit holding 0 starts with it, so sorts first
     rep = [o[0] for o in orbits]
     orbit_of = {lam: i for i, o in enumerate(orbits) for lam in o}
     size = len(orbits)

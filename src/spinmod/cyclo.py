@@ -396,8 +396,6 @@ def _normalized(nums: tuple[int, ...] | list[int], den: int) -> tuple[tuple[int,
         den = -den
         nums = [-v for v in nums]
     g = math.gcd(den, *nums)
-    if g == 0:
-        return tuple(nums), 1
     if g > 1:
         den //= g
         nums = [v // g for v in nums]

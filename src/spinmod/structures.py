@@ -11,18 +11,21 @@ Solution sets are computed by reducing the square system L x = rhs to a
 diagonal form mod d, with the row operations applied to the right-hand
 side as they go (no row transform is kept, and the Smith form's
 divisibility chain is not needed), and enumerated over independent
-cyclic generators.  The subgroups Im L and 2 Im L come from
-one triangular (Hermite) basis of Im L + d Z^n, built by the same column
-elimination that gives the Howell pivots: a lexicographic walk of
-that basis lists each subgroup in sorted order, and 2 Im L in (Z_2d)^n is
-the d-walk with its values doubled.  Coset representatives are
-canonicalized by lexicographic minimality, so structure sets compare as
-sorted lists; they are read off the pivots of the Howell form of Im L
-over Z_d (coordinate i runs over [0, pivot_i)), with no walk over
-(Z_d)^n.  Every solver has a twin used for cross-validation:
-breadth-first subgroup closure and brute-force walks over (Z_d)^n.
-Modular linear algebra is the riskiest plumbing in the package, so
-nothing here is trusted without an independent oracle.
+cyclic generators.  The subgroups Im L and 2 Im L come from one
+triangular (Hermite) basis of Im L + d Z^n, built by the same forward
+column elimination that gives the Howell pivots: a lexicographic walk of
+that basis, reduced above its pivots by the walk alone, lists each
+subgroup in sorted order, and 2 Im L in (Z_2d)^n is the d-walk with its
+values doubled.  Coset representatives are canonicalized by
+lexicographic minimality, so structure sets compare as sorted lists;
+they are read off the pivots of the Howell form of Im L over Z_d
+(coordinate i runs over [0, pivot_i)), with no walk over (Z_d)^n.
+Homology and Chern vectors build that basis once per call, at modulus d,
+for both their representatives and their subgroup.  Every solver has
+a twin used for cross-validation: breadth-first subgroup closure and
+brute-force walks over (Z_d)^n.  Modular linear algebra is the riskiest
+plumbing in the package, so nothing here is trusted without an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -284,17 +287,17 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _hermite_rows(gens, d: int) -> list[list[int]]:
-    """The triangular basis of the lattice span(gens) + d Z^n.
+    """The triangular basis of the lattice span(gens) + d Z^n, unreduced.
 
     Row i vanishes before coordinate i and holds the pivot a_i | d there
     (a_i = d when no generator reaches column i); its other entries are
-    in [0, d), and every entry above a pivot is reduced modulo it, so a
-    column whose pivot is 1 is zero above it.  Column by column, the
-    generator d e_i absorbs every remaining generator with a nonzero i-th
-    entry by unimodular 2x2 steps, which leave the others zero there;
-    entries right of the column are reduced mod d, as d e_k (k > i) are
-    still generators.  The earlier rows are then reduced by the new one,
-    which changes them only from column i on."""
+    in [0, d).  Column by column, the generator d e_i absorbs every
+    remaining generator with a nonzero i-th entry by unimodular 2x2
+    steps, which leave the others zero there; entries right of the column
+    are reduced mod d, as d e_k (k > i) are still generators.  Earlier
+    rows are not reduced by the new one: the diagonal does not depend on
+    it, and ``_lex_walk``, the one reader of the other entries, reduces
+    its own copy."""
     if d < 1:
         raise StructureError("modulus must be positive")
     gens = [[x % d for x in g] for g in gens]
@@ -315,12 +318,24 @@ def _hermite_rows(gens, d: int) -> list[list[int]]:
             if any(g):
                 rest.append(g)
         gens = rest
-        for row in rows:
+        rows.append(pivot)
+    return rows
+
+
+def _reduced_above(rows: list[list[int]], d: int) -> list[list[int]]:
+    """A copy of the ``_hermite_rows`` basis with every entry above a pivot
+    reduced modulo it, so a column whose pivot is 1 is zero above it.
+
+    Pivot by pivot in increasing order, the earlier rows lose the
+    multiple of the pivot row that brings their entry there into
+    [0, a_i); this changes them only from column i on, and the pivot row
+    itself is not yet touched."""
+    rows = [row[:] for row in rows]
+    for i, pivot in enumerate(rows):
+        for row in rows[:i]:
             q = row[i] // pivot[i]
             if q:
-                row[i:] = [(x - q * y) % d
-                           for x, y in zip(row[i:], pivot[i:])]
-        rows.append(pivot)
+                row[i:] = [(x - q * y) % d for x, y in zip(row[i:], pivot[i:])]
     return rows
 
 
@@ -330,8 +345,12 @@ def howell_pivots(mat: LinkingMatrix, d: int) -> tuple[int, ...]:
     The elements of Im L whose first i coordinates vanish have i-th
     coordinates a_i Z_d, with a_i | d (a_i = d when there is no pivot in
     column i).  They are the diagonal of ``_hermite_rows`` on the columns
-    of L.  The product of the pivots is |coker(L mod d)|."""
-    rows = _hermite_rows(list(zip(*mat)), d)
+    of L, read from the forward elimination alone: no row is reduced
+    above a pivot.  The product of the pivots is |coker(L mod d)|."""
+    return _diagonal(_hermite_rows(list(zip(*mat)), d))
+
+
+def _diagonal(rows: list[list[int]]) -> tuple[int, ...]:
     return tuple(row[i] for i, row in enumerate(rows))
 
 
@@ -346,22 +365,24 @@ def _column(values, each: int, outer: int):
 def _lex_walk(rows: list[list[int]], d: int, step: int
               ) -> tuple[tuple[int, ...], ...]:
     """The points of span(rows) mod d, times ``step``, in lexicographic
-    order; ``rows`` is a basis from ``_hermite_rows``.
+    order; ``rows`` is a basis from ``_hermite_rows``, which the walk
+    reduces above its pivots (``_reduced_above``) on its own copy: it is
+    the one reader that needs the reduction.
 
     A prefix x_0..x_(j-1) fixes the partial sums s_m = sum k_i row_i[m]
     (mod d) of the rows that reach it, and x_j then runs over
     range(s_j mod a_j, d, a_j) in increasing order, with k_j =
     ((x_j - s_j) mod d) / a_j.  So every prefix has d / a_j children and
     the walk is a mixed-radix count.  A column whose pivot is 1 has s = 0
-    (``_hermite_rows`` reduced it), so x_j = k_j runs over all of Z_d and
+    (it is zero above the pivot), so x_j = k_j runs over all of Z_d and
     its column is a repeated pattern; only the sums at the pivots above 1
     still ahead are carried, one tuple per prefix, stored as an index into
     the distinct tuples.  Each level expands the prefixes through tables
     over those tuples, and at the end the columns are repeated to full
     length and zipped into points."""
-    n = len(rows)
-    pivots = [row[i] for i, row in enumerate(rows)]
-    tracked = [m for m in range(n) if pivots[m] > 1]
+    rows = _reduced_above(rows, d)
+    pivots = _diagonal(rows)
+    tracked = [m for m, a in enumerate(pivots) if a > 1]
     keys = [(0,) * len(tracked)]       # the distinct tuples of carried sums
     states = [0]                       # per prefix, the index of its tuple
     cols = []                          # (values, repeats of the whole list)
@@ -400,19 +421,22 @@ def image_subgroup_factored(mat: LinkingMatrix, mod: int, scale: int = 1
 
     With g = gcd(scale, mod) and d = mod / g, scale * Im(mat) is g times
     Im(mat) mod d: scale / g is a unit mod d, so it permutes that
-    subgroup, and x -> g x is increasing on [0, d).  The size
-    prod d / a_i is read off the pivots and charged, times n + 1 units
-    per point, before any column is built."""
+    subgroup, and x -> g x is increasing on [0, d).  The basis is built
+    unreduced, and ``_lex_walk`` reduces its own copy."""
     if mod < 1:
         raise StructureError("modulus must be positive")
     g = math.gcd(scale, mod)
-    d = mod // g
-    n = len(mat)
-    rows = _hermite_rows(list(zip(*mat)), d)
-    count = math.prod(d // row[i] for i, row in enumerate(rows))
-    charge(count * (n + 1),
-           f"enumeration of {count} subgroup elements of {n} coordinates")
-    return _lex_walk(rows, d, g)
+    return _subgroup(_hermite_rows(list(zip(*mat)), mod // g), mod // g, g)
+
+
+def _subgroup(rows, d: int, step: int) -> tuple[tuple[int, ...], ...]:
+    """``_lex_walk`` of a ``_hermite_rows`` basis; the size prod d / a_i is
+    read off the pivots and charged, times n + 1 units per point, before
+    any column is built."""
+    count = math.prod(d // a for a in _diagonal(rows))
+    charge(count * (len(rows) + 1), f"enumeration of {count} subgroup "
+           f"elements of {len(rows)} coordinates")
+    return _lex_walk(rows, d, step)
 
 
 def homology_representatives(mat: LinkingMatrix, d: int
@@ -425,7 +449,7 @@ def homology_representatives(mat: LinkingMatrix, d: int
     without touching the earlier ones, and the box holds prod a_i =
     |coker| vectors.  So the box is the set of lex-minimal
     representatives, and no vector outside it is visited."""
-    return _box(mat, d, (0,) * len(mat), 1)
+    return _box(howell_pivots(mat, d), (0,) * len(mat), 1)
 
 
 def chern_representatives(mat: LinkingMatrix, d: int
@@ -436,14 +460,13 @@ def chern_representatives(mat: LinkingMatrix, d: int
     tau - tau' is in Im L mod d, so these are the homology representatives
     mapped by tau -> parity + 2 tau.  The map is strictly increasing in
     every coordinate, so lex-minimality and sorted order carry over."""
-    return _box(mat, d, [mat[i][i] % 2 for i in range(len(mat))], 2)
+    return _box(howell_pivots(mat, d),
+                [row[i] % 2 for i, row in enumerate(mat)], 2)
 
 
-def _box(mat: LinkingMatrix, d: int, base, step: int
-         ) -> tuple[tuple[int, ...], ...]:
+def _box(pivots, base, step: int) -> tuple[tuple[int, ...], ...]:
     """base + step * tau for tau in the box prod [0, a_i) of the Howell
     pivots, in lex order; charged count x (n + 1) units."""
-    pivots = howell_pivots(mat, d)
     count = math.prod(pivots)
     charge(count * (len(pivots) + 1), f"enumeration of {count} classes of "
            f"{len(pivots)} coordinates")
@@ -452,16 +475,21 @@ def _box(mat: LinkingMatrix, d: int, base, step: int
 
 
 def homology_classes(mat: LinkingMatrix, d: int) -> CosetSet:
-    """Lex-minimal representatives of (Z_d)^n / Im L, with Im L."""
-    return CosetSet(d, homology_representatives(mat, d),
-                    image_subgroup_factored(mat, d))
+    """Lex-minimal representatives of (Z_d)^n / Im L, with Im L, from one
+    Hermite basis: the box reads its diagonal, the walk its rows."""
+    rows = _hermite_rows(list(zip(*mat)), d)
+    return CosetSet(d, _box(_diagonal(rows), (0,) * len(mat), 1),
+                    _subgroup(rows, d, 1))
 
 
 def chern_vectors(mat: LinkingMatrix, d: int) -> CosetSet:
     """Lex-minimal representatives of {sigma = diag(L) mod 2} / 2 Im L,
-    with 2 Im L in (Z_2d)^n."""
-    return CosetSet(d, chern_representatives(mat, d),
-                    image_subgroup_factored(mat, 2 * d, 2))
+    with 2 Im L in (Z_2d)^n: the homology basis at modulus d, its box
+    mapped by tau -> parity + 2 tau and its walk doubled."""
+    rows = _hermite_rows(list(zip(*mat)), d)
+    return CosetSet(d, _box(_diagonal(rows),
+                            [row[i] % 2 for i, row in enumerate(mat)], 2),
+                    _subgroup(rows, d, 2))
 
 
 def coker_count(mat: LinkingMatrix, d: int) -> int:

@@ -151,10 +151,6 @@ class SignaturePair:
     b_minus: int
     nullity: int
 
-    @property
-    def total(self) -> int:
-        return self.b_plus + self.b_minus + self.nullity
-
 
 def signature(mat: structures.LinkingMatrix) -> SignaturePair:
     """Exact inertia via symmetric elimination over the rationals.

@@ -9,17 +9,19 @@ from itertools import combinations
 
 import pytest
 
-from spinmod import category
+from spinmod import category, constructions
 from spinmod.category import (GradingError, MalformedCategoryError,
                               _prime_and_root_powers, _rank, _rank_mod_p,
                               check_axioms, default_primitive_root, grading,
                               invertibles, kirby_color, refinable_structures)
 from spinmod.constructions import (abelian_category, extend_category,
-                                   product_category, sl2_category,
+                                   modularize, product_category,
+                                   reduced_subcategory, sl2_category,
                                    trivial_category)
 from spinmod.cyclo import CycloNumber, cyclo_field, make_root
 from spinmod.invariants import Evaluator
 from spinmod.surgery import forest
+from spinmod.verify import verify_spinc
 
 
 def test_one_object_category_is_modular():
@@ -84,11 +86,21 @@ def test_modularity_falls_back_to_exact_rank(monkeypatch):
     # The certificate settles a modular category without exact elimination.
     assert check_axioms(sl2_category(5)).modular is True
     assert exact_calls == []
-    # A short mod-p rank leaves the decision to the exact rank.
+    # Two transparent labels settle a short mod-p rank without it too.
     degenerate = abelian_category(3, cyclo_field(3).one)
     assert _rank_mod_p(degenerate) < degenerate.size
     assert check_axioms(degenerate).modular is False
-    assert exact_calls == [degenerate.name]
+    assert exact_calls == []
+    # A short mod-p rank with at most one transparent label leaves the
+    # decision to the exact rank: sl2(5) with two equal Hopf rows.
+    cat = sl2_category(5)
+    smat = cat.smat[:2] + cat.smat[1:2] + cat.smat[3:]
+    dup = type(cat)("dup", cat.field, cat.labels, cat.dual, cat.qdim,
+                    cat.twist, smat, cat.fusion)
+    assert _rank_mod_p(dup) < dup.size
+    report = check_axioms(dup)
+    assert report.transparent == (0,) and report.modular is False
+    assert exact_calls == ["dup"]
     # So does a denominator divisible by p, where the map to F_p is undefined.
     cat = sl2_category(5)
     p, _ = _prime_and_root_powers(cat.field.order)
@@ -97,7 +109,47 @@ def test_modularity_falls_back_to_exact_rank(monkeypatch):
                     cat.twist, scaled, cat.fusion)
     assert _rank_mod_p(odd) == 0
     assert check_axioms(odd).modular is True
-    assert exact_calls == [degenerate.name, "scaled"]
+    assert exact_calls == ["dup", "scaled"]
+
+
+def _modularity_oracle_categories():
+    """(name, category) for every family the modularity decision meets:
+    sl2(3..24), pointed, product, reduced, extended and modularized ones,
+    and each extension the bounded higher-spin search builds."""
+    out = [(f"sl2_{r}", sl2_category(r)) for r in range(3, 25)]
+    out += [("trivial", trivial_category()),
+            ("abelian_zeta3", abelian_category(3, make_root(3, 1))),
+            ("abelian_degenerate", abelian_category(3, cyclo_field(3).one)),
+            ("abelian_4_zeta8", abelian_category(4, make_root(8, 1))),
+            ("product_sl2_4_sl2_6",
+             product_category(sl2_category(4), sl2_category(6))),
+            ("ext_sl2_5_a1_x5", _extension(5, 1, 5)),
+            ("ext_sl2_8_a2_x4", _extension(8, 2, 4))]
+    for r in (5, 7):
+        cat = sl2_category(r)
+        out.append((f"reduced_sl2_{r}", reduced_subcategory(
+            cat, grading(cat, invertibles(cat)), 2)))
+    prod = product_category(sl2_category(5),
+                            abelian_category(2, cyclo_field(2).one))
+    out += [("product_transparent_z2", prod),
+            ("modularized", modularize(prod))]
+    return out
+
+
+def test_modularity_decision_equals_exact_rank(monkeypatch):
+    cases = _modularity_oracle_categories()
+    built, exact_calls = [], []
+    build = constructions.extend_category
+    monkeypatch.setattr(constructions, "extend_category",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    monkeypatch.setattr(category, "_rank",
+                        lambda cat: exact_calls.append(cat) or _rank(cat))
+    assert verify_spinc(7).passed
+    # the certificates settle every extension of the search
+    assert len(built) == 80 and exact_calls == []
+    cases += [(f"search_{k}", ext) for k, ext in enumerate(built)]
+    for name, cat in cases:
+        assert check_axioms(cat).modular == (_rank(cat) == cat.size), name
 
 
 def _dense_associativity_violations(fusion):

@@ -445,6 +445,7 @@ def test_cli_out_applies_only_to_derive(action, tmp_path):
 
 
 @pytest.mark.parametrize("spec", ["builtin:sl2:5:junk", "builtin:trivial:7",
+                                  "builtin:trivial:1",
                                   "builtin:abelian:3:3:1:9", "builtin:sl2",
                                   "builtin:abelian:3:3"])
 def test_cli_builtin_spec_takes_exactly_its_fields(spec):
@@ -462,6 +463,34 @@ def test_cli_verify_category_applies_only_to_sum_and_kirby(suite, tmp_path):
         assert run_cli_err("verify", suite, "--category", source) == \
             (2, ["error: --category applies only to the sum and kirby "
                  "suites"])
+
+
+@pytest.mark.parametrize("spec,size", [("builtin:trivial", 1),
+                                       ("builtin:abelian:3:3:1", 3)])
+def test_cli_builtin_trivial_and_abelian_specs(spec, size):
+    rc, out = run_cli("category", "check", spec, "--format", "json")
+    report = json.loads(out)
+    assert rc == 0
+    assert (report["labels"], report["field"]) == (size, size)
+    assert report["premodular"] is True and report["modular"] is True
+    assert report["transparent"] == [0]
+
+
+@pytest.mark.parametrize("argv,line", [
+    (("sum", "--category", "builtin:sl2:6", "--corpus-size", "2"),
+     "sl2_6 (coh): table sums equal the invariant on 10/10 manifolds"),
+    (("kirby", "--category", "builtin:sl2:8", "--sequences", "2"),
+     "sl2_8 (spin): 18 move sequences, wrt and table multisets exactly "
+     "invariant")])
+def test_cli_verify_on_a_given_category(argv, line):
+    assert run_cli("verify", *argv) == (0, f"[PASS] {argv[0]}\n  {line}\n")
+
+
+def test_cli_verify_refuses_a_category_without_a_cyclic_structure():
+    assert run_cli_err("verify", "kirby", "--category",
+                       "builtin:abelian:3:3:1", "--sequences", "1") \
+        == (2, ["error: category abelian_3 has no nontrivial cyclic "
+                "refinable structure to verify against"])
 
 
 FUZZ_TOKENS = st.sampled_from(["0", "1", "-1", "2", "3", "4", "7", "12", "16",

@@ -7,9 +7,9 @@ import time
 from itertools import chain, permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from spinmod import structures
+from spinmod import structures, surgery
 from spinmod.budget import ENUMERATION_LIMIT, SizeLimitError
 from spinmod.structures import (GeneratedCoset, StructureError, as_matrix,
                                 brute_chern_vectors,
@@ -328,8 +328,12 @@ def check_hermite_basis(mat, d):
         assert d % pivots[i] == 0
         assert not any(row[:i])
         assert all(0 <= x < d for x in row[i + 1:])
-        # reduced above every pivot: a column with pivot 1 is zero above it
-        assert all(0 <= above[i] < pivots[i] for above in rows[:i])
+    # the walk's copy is reduced above every pivot: a column with pivot 1
+    # is zero above it; the diagonal is unchanged
+    reduced = structures._reduced_above(rows, d)
+    assert [row[i] for i, row in enumerate(reduced)] == pivots
+    for i, row in enumerate(reduced):
+        assert all(0 <= above[i] < pivots[i] for above in reduced[:i])
 
 
 @settings(max_examples=120, deadline=None)
@@ -358,7 +362,10 @@ def test_image_subgroup_walk_pinned_cases():
     # basis rows (2, 2), (0, 4) at d = 8: after x_0 = 2 the second
     # coordinate starts at the carried sum 2, not at 0
     mat = as_matrix([[2, 2], [2, 6]])
-    assert structures._hermite_rows(list(zip(*mat)), 8) == [[2, 2], [0, 4]]
+    rows = structures._hermite_rows(list(zip(*mat)), 8)
+    assert rows == [[2, 6], [0, 4]]
+    assert structures._reduced_above(rows, 8) == [[2, 2], [0, 4]]
+    assert rows == [[2, 6], [0, 4]]          # the walk reduces a copy
     assert image_subgroup_factored(mat, 8)[:4] == ((0, 0), (0, 4), (2, 2),
                                                    (2, 6))
     assert image_subgroup_factored(mat, 8) == image_subgroup(mat, 8)
@@ -404,3 +411,138 @@ def test_image_subgroup_walk_refuses_before_building_a_column(monkeypatch):
     assert walks == []
     assert len(image_subgroup_factored(as_matrix([[1]]), 2)) == 2
     assert len(walks) == 1
+
+
+# ---------------------------------------------------------------------------
+# Forward elimination only, against the elimination that reduced as it went
+
+PIVOT_MODULI = [1, 2, 3, 4, 6, 8, 9, 12]
+
+
+def _reducing_hermite_rows(gens, d):
+    """The Hermite basis built with the back-reduction inside the loop:
+    each new pivot row reduces every earlier row above it at once."""
+    gens = [[x % d for x in g] for g in gens]
+    n = len(gens[0]) if gens else 0
+    rows = []
+    for i in range(n):
+        pivot = [0] * n
+        pivot[i] = d
+        rest = []
+        for g in gens:
+            if g[i]:
+                a, b = pivot[i], g[i]
+                h, s, t = structures._xgcd(a, b)
+                pivot, g = ([(s * x + t * y) % d for x, y in zip(pivot, g)],
+                            [(a // h * y - b // h * x) % d
+                             for x, y in zip(pivot, g)])
+                pivot[i] = h
+            if any(g):
+                rest.append(g)
+        gens = rest
+        for row in rows:
+            q = row[i] // pivot[i]
+            if q:
+                row[i:] = [(x - q * y) % d
+                           for x, y in zip(row[i:], pivot[i:])]
+        rows.append(pivot)
+    return rows
+
+
+def _reducing_outputs(mat, d):
+    """What the structure-set functions return when built on
+    ``_reducing_hermite_rows``."""
+    cols = list(zip(*mat))
+    rows = _reducing_hermite_rows(cols, d)
+    pivots = tuple(row[i] for i, row in enumerate(rows))
+    parity = [mat[i][i] % 2 for i in range(len(mat))]
+    hom = tuple(product(*[range(a) for a in pivots]))
+    chern = tuple(product(*[range(b, b + 2 * a, 2)
+                            for a, b in zip(pivots, parity)]))
+    walk = structures._lex_walk(rows, d, 1)
+    doubled = structures._lex_walk(rows, d, 2)
+    return {"pivots": pivots, "hom": hom, "chern": chern,
+            "image": walk, "image2": doubled,
+            "homology_classes": structures.CosetSet(d, hom, walk),
+            "chern_vectors": structures.CosetSet(d, chern, doubled)}
+
+
+@st.composite
+def cyclic_symmetric_matrices(draw, max_n=6):
+    """Symmetric matrices whose off-diagonal graph may have cycles (every
+    entry is drawn), with diagonals away from +-1 as often as not."""
+    n = draw(st.integers(0, max_n))
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        mat[i][i] = draw(st.integers(-9, 9))
+        for j in range(i + 1, n):
+            mat[i][j] = mat[j][i] = draw(st.sampled_from([0, 1, -1, 2, 3]))
+    return as_matrix(mat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyclic_symmetric_matrices(), st.sampled_from(PIVOT_MODULI))
+def test_back_reduction_post_pass_equals_reducing_loop(mat, d):
+    cols = list(zip(*mat))
+    rows = structures._hermite_rows(cols, d)
+    expected = _reducing_hermite_rows(cols, d)
+    assert structures._reduced_above(rows, d) == expected
+    assert howell_pivots(mat, d) == tuple(row[i] for i, row in
+                                          enumerate(expected))
+
+
+# (Z_d)^n itself stays within this many points, so the brute-force twins
+# and the closure can run on every example
+OUTPUT_BUDGET = 4096
+
+
+@st.composite
+def bounded_cases(draw):
+    d = draw(st.sampled_from(PIVOT_MODULI))
+    n_max = max(n for n in range(7) if d ** n <= OUTPUT_BUDGET)
+    return draw(cyclic_symmetric_matrices(n_max)), d
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_cases())
+@example((as_matrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]]), 4))
+@example((as_matrix([[3, 1, 0, 1], [1, 0, 1, 0], [0, 1, -2, 1],
+                     [1, 0, 1, 4]]), 6))
+@example((as_matrix([[0, 2], [2, 0]]), 12))
+def test_structure_sets_equal_the_reducing_design(case):
+    mat, d = case
+    want = _reducing_outputs(mat, d)
+    assert howell_pivots(mat, d) == want["pivots"]
+    assert homology_representatives(mat, d) == want["hom"]
+    assert chern_representatives(mat, d) == want["chern"]
+    assert image_subgroup_factored(mat, d) == want["image"]
+    assert image_subgroup_factored(mat, 2 * d, 2) == want["image2"]
+    assert homology_classes(mat, d) == want["homology_classes"]
+    assert chern_vectors(mat, d) == want["chern_vectors"]
+    # and the independent twins still agree
+    assert want["hom"] == brute_homology_classes(mat, d)
+    assert want["chern"] == brute_chern_vectors(mat, d)
+    assert want["image"] == image_subgroup(mat, d)
+    assert want["image2"] == image_subgroup(mat, 2 * d, 2)
+    assert math.prod(want["pivots"]) == coker_count(mat, d)
+
+
+def test_coset_sets_build_one_basis_per_call(monkeypatch):
+    calls = []
+    build = structures._hermite_rows
+    monkeypatch.setattr(structures, "_hermite_rows",
+                        lambda *args: calls.append(args[1]) or build(*args))
+    mat = surgery.chain([2, 3, 2, -2, 4]).linking_matrix()
+    homology_classes(mat, 4)
+    assert calls == [4]
+    chern_vectors(mat, 4)
+    assert calls == [4, 4]
+
+
+def test_pivot_readers_never_reduce_rows(monkeypatch):
+    # the walk is the one reader of reduced rows
+    monkeypatch.setattr(structures, "_reduced_above", None)
+    mat = surgery.chain([2] * 41).linking_matrix()
+    assert math.prod(howell_pivots(mat, 2)) == coker_count(mat, 2) == 2
+    assert len(homology_representatives(mat, 2)) == 2
+    assert len(chern_representatives(mat, 2)) == 2
